@@ -220,52 +220,6 @@ void emit_targeted_row(std::FILE* out, harness::AdversaryKind kind,
       static_cast<double>(rounds) / elapsed.count(), last ? "" : ",");
 }
 
-/// One row of the `async_overhead` series: the event-queue scheduler in
-/// lockstep mode (bounded delay d = 1 — bit-identical results, zero
-/// scheduling randomness) against the legacy synchronous loop on the same
-/// seeds. The ratio is the pure cost of virtual time: event-queue pushes
-/// and pops, batch bookkeeping, and the serial (non-pooled) delivery
-/// fan-out the async path mandates.
-void emit_async_row(std::FILE* out, std::uint32_t n, std::uint32_t runs,
-                    bool last) {
-  const auto measure = [&](bool async) {
-    ThroughputSample sample;
-    const auto start = std::chrono::steady_clock::now();
-    for (std::uint32_t i = 0; i < runs; ++i) {
-      harness::RunConfig config;
-      config.algorithm = harness::Algorithm::kBallsIntoLeaves;
-      config.n = n;
-      config.seed = 1000 + i;
-      if (async) {
-        config.adversary =
-            harness::AdversarySpec{.kind = harness::AdversaryKind::kBoundedDelay,
-                                   .delay = {.max_delay = 1}};
-      }
-      config.engine_threads = 1;
-      const harness::RunSummary summary = harness::run_renaming(config);
-      sample.rounds += summary.total_rounds;
-      sample.deliveries += summary.messages_delivered;
-    }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    sample.seconds = elapsed.count();
-    return sample;
-  };
-  const ThroughputSample sync = measure(false);
-  const ThroughputSample async_sample = measure(true);
-  std::fprintf(
-      out,
-      "    {\"n\":%u,\"runs\":%u,\"rounds\":%llu,"
-      "\"sync_seconds\":%.6f,\"async_seconds\":%.6f,"
-      "\"sync_rounds_per_sec\":%.1f,\"async_rounds_per_sec\":%.1f,"
-      "\"overhead_ratio\":%.4f}%s\n",
-      n, runs, static_cast<unsigned long long>(sync.rounds), sync.seconds,
-      async_sample.seconds,
-      static_cast<double>(sync.rounds) / sync.seconds,
-      static_cast<double>(async_sample.rounds) / async_sample.seconds,
-      async_sample.seconds / sync.seconds, last ? "" : ",");
-}
-
 int run_json_mode() {
   constexpr ThroughputScenario kScenarios[] = {
       {"crash-free", &no_adversary},
@@ -294,13 +248,6 @@ int run_json_mode() {
     emit_targeted_row(out, harness::AdversaryKind::kTargetedAnnouncer,
                       "targeted-announcer", kTargetedSizes[i],
                       kTargetedRuns[i], i + 1 == std::size(kTargetedSizes));
-  }
-  std::fprintf(out, "  ],\n  \"async_overhead\": [\n");
-  constexpr std::uint32_t kAsyncSizes[] = {1u << 12, 1u << 14};
-  constexpr std::uint32_t kAsyncRuns[] = {2, 1};
-  for (std::size_t i = 0; i < std::size(kAsyncSizes); ++i) {
-    emit_async_row(out, kAsyncSizes[i], kAsyncRuns[i],
-                   i + 1 == std::size(kAsyncSizes));
   }
   std::fprintf(out, "  ]\n}\n");
   return 0;

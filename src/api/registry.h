@@ -80,11 +80,10 @@ struct AdversaryInfo {
   /// sim/scheduler.h). Groups the --list-adversaries output and tags JSON
   /// results.
   std::string fault_model = "crash";
-  /// Timing model the strategy runs under: "sync" (the lock-step engine
-  /// fabric — every kind that existed before the event-driven executor) or
-  /// "async-only" (the delay kinds: they *are* the DeliveryScheduler, so
-  /// they only exist on the engine's event-queue path). Shown as the
-  /// `timing` column of --list-adversaries.
+  /// Timing model the strategy runs under: "sync" (lock-step timing — the
+  /// crash and Byzantine kinds) or "async-only" (the delay kinds: they *are*
+  /// the DeliveryScheduler, so they only run on the exact engine). Shown as
+  /// the `timing` column of --list-adversaries.
   std::string timing = "sync";
   /// True when the crash-capable fast simulator can replay this strategy
   /// bit-for-bit: the schedule-only kinds (none, oblivious, burst, eager,

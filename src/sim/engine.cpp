@@ -36,24 +36,11 @@ Engine::Engine(EngineConfig config,
       scheduler_(std::move(scheduler)) {
   BIL_REQUIRE(scheduler_ != nullptr, "need a delivery scheduler");
   adversary_ = scheduler_->adversary();
-  async_ = !scheduler_->synchronous();
-  if (async_) {
-    // The event-driven path is crash-free by contract: a delay scheduler
-    // attacks timing, not processes (sim/scheduler.h). Rejecting the
-    // budgets here keeps the contract from silently decaying.
-    BIL_REQUIRE(config_.max_crashes == 0,
-                "asynchronous schedulers are crash-free: combine delays "
-                "with a zero crash budget");
-    BIL_REQUIRE(config_.max_byzantine == 0,
-                "asynchronous schedulers are crash-free: combine delays "
-                "with a zero Byzantine budget");
-    BIL_REQUIRE(adversary_ == nullptr,
-                "asynchronous schedulers must not carry a crash/corruption "
-                "adversary");
-    BIL_REQUIRE(config_.trace == nullptr,
-                "the event-driven path does not stream round traces yet; "
-                "drop the trace sink or use a synchronous scheduler");
-  }
+  // The timeout hook decides on a partial view, which is only sound when
+  // every silent sender is merely late, never crashed or lying.
+  BIL_REQUIRE(scheduler_->timeout_ticks() == 0 ||
+                  (config_.max_crashes == 0 && config_.max_byzantine == 0),
+              "timeouts need a zero crash and Byzantine budget");
   BIL_REQUIRE(config_.num_processes >= 1, "need at least one process");
   BIL_REQUIRE(processes_.size() == config_.num_processes,
               "process vector size must equal num_processes");
@@ -213,7 +200,7 @@ void Engine::receive_guarded(WorkerState& ws, ProcessId receiver,
 }
 
 void Engine::send_chunk(WorkerState& ws, std::size_t begin, std::size_t end,
-                        RoundNumber round) {
+                        RoundNumber round, RoundNumber record_round) {
   for (std::size_t id = begin; id < end; ++id) {
     if (status_[id] != Status::kAlive) {
       continue;
@@ -224,11 +211,11 @@ void Engine::send_chunk(WorkerState& ws, std::size_t begin, std::size_t end,
     if (config_.trace != nullptr && !outboxes_[pid].empty()) {
       config_.trace->on_send(round, pid, outboxes_[pid].messages().size());
     }
-    note_progress(pid, round);
+    note_progress(pid, record_round);
   }
 }
 
-void Engine::send_phase(RoundNumber round) {
+void Engine::send_phase(RoundNumber round, RoundNumber record_round) {
   // Clear every outbox (halted/crashed processes keep theirs empty); this
   // also recycles each outbox's payload arena for the new round.
   for (Outbox& outbox : outboxes_) {
@@ -243,10 +230,10 @@ void Engine::send_phase(RoundNumber round) {
     pool_->parallel_chunks(
         config_.num_processes,
         [&](std::uint32_t chunk, std::size_t begin, std::size_t end) {
-          send_chunk(workers_[chunk], begin, end, round);
+          send_chunk(workers_[chunk], begin, end, round, record_round);
         });
   } else {
-    send_chunk(workers_[0], 0, config_.num_processes, round);
+    send_chunk(workers_[0], 0, config_.num_processes, round, record_round);
   }
   std::uint64_t sends = 0;
   for (WorkerState& ws : workers_) {
@@ -516,18 +503,23 @@ void Engine::deliver_round(RoundNumber round, RoundNumber record_round) {
   }
 }
 
+bool Engine::can_step() const {
+  return protocol_running() && now_ < config_.max_rounds;
+}
+
 bool Engine::step() {
-  BIL_REQUIRE(!async_,
-              "step() is the lock-step entry point; asynchronous schedulers "
-              "run through run()");
-  BIL_REQUIRE(protocol_running(), "step() called on a finished run");
-  const RoundNumber round = next_round_++;
+  BIL_REQUIRE(can_step(), "step() called on a finished run");
+  const RoundNumber round = round_++;
+  // Outcomes are stamped on the virtual clock: sends (and crashes) at the
+  // send tick, receives at the round's completion tick minus one. Under
+  // lock-step timing both read as the round number.
+  const auto send_tick = static_cast<RoundNumber>(now_);
   metrics_.begin_round();
   if (config_.trace != nullptr) {
     config_.trace->on_round_begin(round);
   }
 
-  send_phase(round);
+  send_phase(round, send_tick);
 
   // Adversary phase: the adversary observes all pending messages (hence all
   // coin flips that shaped them) before committing crashes — the strong
@@ -550,118 +542,69 @@ bool Engine::step() {
     corruption_plan_.clear();
     round_rewrites_.clear();
     adversary_->corrupt(view, corruption_plan_);
-    validate_and_apply(plan, round);
+    validate_and_apply(plan, send_tick);
     validate_and_index_corruption(corruption_plan_);
   }
 
-  deliver_round(round, round);
-  return protocol_running();
+  // Scheduling phase: the scheduler stamps every (sender, round) batch with
+  // its delivery tick. The round's inbox is complete once its last batch
+  // has arrived; batch-granular delays keep rounds globally serialized (a
+  // process's next send waits for the same completion), so every queued
+  // event belongs to `round` and payloads stay outbox-scoped.
+  EventQueue queue;
+  std::uint64_t seq = 0;
+  for (ProcessId id = 0; id < config_.num_processes; ++id) {
+    if (outboxes_[id].empty()) {
+      continue;
+    }
+    const SendBatch batch{
+        id, round, now_,
+        static_cast<std::uint32_t>(outboxes_[id].messages().size())};
+    const VirtualTime at = scheduler_->deliver_at(batch);
+    BIL_REQUIRE(at > now_,
+                "scheduler violated the progress contract: a batch must "
+                "be delivered strictly after it was sent");
+    queue.push(DeliveryEvent{at, id, seq++, round});
+  }
+
+  // Drain the round's events in (time, sender, seq) order. max_rounds is a
+  // strict tick cap: a batch due past it can never arrive.
+  const VirtualTime cap = config_.max_rounds;
+  const VirtualTime timeout = scheduler_->timeout_ticks();
+  VirtualTime complete = now_ + 1;  // an all-silent round still advances
+  bool timed_out = false;
+  while (!queue.empty()) {
+    const DeliveryEvent event = queue.pop();
+    if (timeout > 0 && !timed_out && event.time > now_ + timeout &&
+        now_ + timeout < cap) {
+      // The waiting processes time out before the next arrival: fire the
+      // hook once for this round, at the send tick + timeout, in id order.
+      timed_out = true;
+      for (ProcessId id = 0; id < config_.num_processes; ++id) {
+        if (status_[id] != Status::kAlive) {
+          continue;
+        }
+        processes_[id]->on_timeout(round);
+        note_progress(id, static_cast<RoundNumber>(now_ + timeout));
+      }
+    }
+    if (event.time > cap) {
+      // Starved delivery: the round can never complete. End cleanly
+      // (completed = false) at the cap.
+      now_ = cap;
+      return false;
+    }
+    complete = event.time;
+  }
+
+  now_ = complete;
+  deliver_round(round, static_cast<RoundNumber>(now_ - 1));
+  return can_step();
 }
 
 RunResult Engine::run() {
-  if (async_) {
-    return run_async();
-  }
-  while (protocol_running() && next_round_ < config_.max_rounds) {
+  while (can_step()) {
     step();
-  }
-  return result();
-}
-
-RunResult Engine::run_async() {
-  BIL_REQUIRE(next_round_ == 0, "run() called on a started run");
-  // max_rounds is enforced in virtual-time ticks here (see EngineConfig):
-  // one synchronous round is one tick, so the default 16·n + 64 keeps its
-  // meaning on the lock-step domain while also bounding starved schedules.
-  const VirtualTime cap = config_.max_rounds;
-  const VirtualTime timeout = scheduler_->timeout_ticks();
-  EventQueue queue;
-  std::uint64_t seq = 0;
-
-  VirtualTime now = 0;      // current virtual tick
-  RoundNumber round = 0;    // protocol round currently being collected
-  bool capped = false;
-
-  while (protocol_running() && now < cap) {
-    // -- Send phase for `round`, at tick `now`, serial in id order --------
-    metrics_.begin_round();
-    for (Outbox& outbox : outboxes_) {
-      outbox.clear();
-    }
-    std::uint64_t sends = 0;
-    for (ProcessId id = 0; id < config_.num_processes; ++id) {
-      if (status_[id] != Status::kAlive) {
-        continue;
-      }
-      processes_[id]->on_send(round, outboxes_[id]);
-      sends += outboxes_[id].messages().size();
-      // Outcomes are recorded on the virtual clock. At this instant the
-      // clock reads `now`, which on the lock-step domain equals `round` —
-      // the bit-identity argument in sim/scheduler.h.
-      note_progress(id, static_cast<RoundNumber>(now));
-    }
-    metrics_.record_send(sends);
-    if (!protocol_running()) {
-      break;  // everyone halted in on_send; in-flight batches are moot
-    }
-
-    // -- Ask the scheduler when each (sender, round) batch arrives --------
-    for (ProcessId id = 0; id < config_.num_processes; ++id) {
-      if (outboxes_[id].empty()) {
-        continue;
-      }
-      const SendBatch batch{
-          id, round, now,
-          static_cast<std::uint32_t>(outboxes_[id].messages().size())};
-      const VirtualTime at = scheduler_->deliver_at(batch);
-      BIL_REQUIRE(at > now,
-                  "scheduler violated the progress contract: a batch must "
-                  "be delivered strictly after it was sent");
-      queue.push(DeliveryEvent{at, id, seq++, round});
-    }
-
-    // -- Drain this round's events in (time, sender, seq) order -----------
-    // The round's inbox is complete once its last batch has arrived; the
-    // batch-granular delay model keeps rounds globally serialized (a
-    // process's next send waits for the same completion), so every event in
-    // the queue belongs to `round` and payload handles stay outbox-scoped
-    // exactly as in the lock-step engine.
-    VirtualTime complete = now + 1;  // an all-silent round still advances
-    bool timed_out = false;
-    while (!queue.empty()) {
-      const DeliveryEvent event = queue.pop();
-      BIL_REQUIRE(event.round == round, "event from a foreign round");
-      if (timeout > 0 && !timed_out && event.time > now + timeout &&
-          now + timeout < cap) {
-        // The waiting processes time out before the next arrival: fire the
-        // hook once for this round, at tick now + timeout, in id order.
-        timed_out = true;
-        for (ProcessId id = 0; id < config_.num_processes; ++id) {
-          if (status_[id] != Status::kAlive) {
-            continue;
-          }
-          processes_[id]->on_timeout(round);
-          note_progress(id, static_cast<RoundNumber>(now + timeout));
-        }
-      }
-      if (event.time > cap) {
-        // Starved delivery: the batch would arrive beyond the tick cap, so
-        // the round can never complete. End cleanly (completed = false).
-        capped = true;
-        break;
-      }
-      complete = event.time;
-    }
-    if (capped) {
-      next_round_ = config_.max_rounds;
-      break;
-    }
-
-    // -- Fire the round at its completion tick ----------------------------
-    now = complete;
-    deliver_round(round, static_cast<RoundNumber>(now - 1));
-    next_round_ = static_cast<RoundNumber>(now);
-    ++round;
   }
   return result();
 }
@@ -669,7 +612,7 @@ RunResult Engine::run_async() {
 RunResult Engine::result() const {
   RunResult result;
   result.completed = !protocol_running();
-  result.rounds = next_round_;
+  result.rounds = static_cast<RoundNumber>(now_);
   result.outcomes = outcomes_;
   result.metrics = metrics_;
   return result;

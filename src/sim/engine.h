@@ -1,12 +1,14 @@
-// The lock-step synchronous execution engine (paper §3).
+// The round-based execution engine (paper §3: lock-step synchronous rounds,
+// generalized to delayed delivery).
 //
 // Per round the engine: (1) collects each alive process's messages, (2) asks
 // the adversary which processes crash this round and which recipients still
-// receive each victim's final messages, (3) delivers the surviving messages,
-// and (4) hands every alive process its inbox. A process that crashes stops
-// forever; a process that halts (decided and left the protocol) likewise
-// sends and receives nothing afterwards — other processes observe only
-// silence in both cases, exactly as in the paper's model.
+// receive each victim's final messages, (3) advances a virtual clock until
+// the delivery scheduler has delivered the round's batches, and (4) hands
+// every alive process its inbox. A process that crashes stops forever; a
+// process that halts (decided and left the protocol) likewise sends and
+// receives nothing afterwards — other processes observe only silence in
+// both cases, exactly as in the paper's model.
 //
 // Intra-round parallelism: within one round, on_send across alive processes
 // and on_receive across recipients are independent deterministic state
@@ -19,13 +21,14 @@
 // and tests/engine_parallel_test.cpp / golden_run_test for the executable
 // form.
 //
-// Event-driven execution: the engine is parameterized by a
-// sim::DeliveryScheduler (sim/scheduler.h). A synchronous scheduler selects
-// the lock-step fabric above, bit-identical to the pre-scheduler engine
-// (golden_run_test is the proof); an asynchronous scheduler (bounded-delay,
-// GST) selects run_async(), which advances a virtual clock through a
-// deterministic event queue (sim/event_queue.h) and fires each protocol
-// round when its inbox completes. See docs/architecture.md § scheduler.
+// Event-driven timing: the engine is parameterized by a
+// sim::DeliveryScheduler (sim/scheduler.h), and every scheduler drives the
+// same round loop. Between the adversary step and delivery, the scheduler
+// stamps each sender's batch with a delivery tick on a virtual clock; the
+// engine drains a deterministic event queue (sim/event_queue.h) to the
+// round's completion tick and then delivers the round. Lock-step timing is
+// the one-tick case, so rounds and ticks coincide there (golden_run_test is
+// the proof). See docs/architecture.md § scheduler.
 #pragma once
 
 #include <cstdint>
@@ -62,26 +65,26 @@ struct EngineConfig {
   std::uint32_t max_byzantine = 0;
   /// Safety cap; 0 selects the documented default 16·n + 64, far above the
   /// deterministic O(n)-round termination bound (paper Lemma 11), so
-  /// hitting the cap means a bug, not bad luck. Synchronous runs count it
-  /// in rounds; asynchronous runs enforce it in virtual-time *ticks*, so a
-  /// scheduler that starves delivery (delays a batch past the cap) ends the
-  /// run cleanly with completed = false instead of looping forever.
+  /// hitting the cap means a bug, not bad luck. The cap counts virtual-time
+  /// *ticks*, which equal rounds under lock-step timing; a scheduler that
+  /// starves delivery (delays a batch past the cap) ends the run cleanly
+  /// with completed = false instead of looping forever.
   RoundNumber max_rounds = 0;
   /// Intra-round executor threads for the send/receive fan-outs: 1 (the
   /// default) runs every phase serially, k > 1 shards processes over k
   /// threads, 0 resolves to one thread per hardware thread. The run's
-  /// result is bit-identical for every value. When a trace sink is attached
-  /// the engine falls back to serial execution regardless (trace events
-  /// must stream in id order), and the asynchronous path is always serial
-  /// (ticks are globally ordered), so thread-width invariance holds there
-  /// trivially.
+  /// result is bit-identical for every value and every scheduler (delays
+  /// move whole rounds on the clock, never the work inside one). When a
+  /// trace sink is attached the engine falls back to serial execution
+  /// regardless (trace events must stream in id order).
   std::uint32_t num_threads = 1;
   /// Optional execution trace; not owned, may be null. Must outlive the
   /// engine.
   TraceSink* trace = nullptr;
 };
 
-/// Per-process outcome of a run.
+/// Per-process outcome of a run. The *_round fields hold virtual-time
+/// ticks, which equal rounds under lock-step timing.
 struct ProcessOutcome {
   bool decided = false;
   std::uint64_t name = 0;
@@ -113,7 +116,8 @@ struct ProcessOutcome {
 struct RunResult {
   /// True when every non-crashed process halted before the round cap.
   bool completed = false;
-  /// Number of rounds executed (rounds are numbered 0..rounds-1).
+  /// Virtual-time ticks elapsed; under lock-step timing, the number of
+  /// rounds executed (rounds are numbered 0..rounds-1).
   RoundNumber rounds = 0;
   std::vector<ProcessOutcome> outcomes;
   Metrics metrics;
@@ -121,6 +125,8 @@ struct RunResult {
   /// Round in which the last correct process decided (the run's latency).
   /// Requires completed and at least one correct process.
   [[nodiscard]] RoundNumber last_decide_round() const;
+
+  bool operator==(const RunResult&) const = default;
 };
 
 /// Executes one run. Single-shot: construct, run, inspect.
@@ -134,12 +140,10 @@ class Engine {
          std::vector<std::unique_ptr<ProcessBase>> processes,
          std::unique_ptr<Adversary> adversary);
 
-  /// Event-driven form: the scheduler decides when every message batch is
-  /// delivered (sim/scheduler.h). A synchronous scheduler runs the
-  /// lock-step fabric with the adversary it carries, bit-identical to the
-  /// adversary constructor; an asynchronous scheduler runs the event-queue
-  /// path, which is crash-free by contract (the config must carry zero
-  /// crash and Byzantine budgets) and always serial.
+  /// Scheduler form: the scheduler decides when every message batch is
+  /// delivered and carries the crash/corruption adversary, if any
+  /// (sim/scheduler.h). A scheduler with timeouts requires zero crash and
+  /// Byzantine budgets.
   Engine(EngineConfig config,
          std::vector<std::unique_ptr<ProcessBase>> processes,
          std::unique_ptr<DeliveryScheduler> scheduler);
@@ -154,20 +158,20 @@ class Engine {
       : Engine(std::move(config), std::move(processes),
                std::unique_ptr<Adversary>()) {}
 
-  /// Executes one lock-step round. Returns true while at least one process
-  /// is still alive and not halted (i.e., the protocol is still running).
-  /// Requires a synchronous scheduler; asynchronous runs go through run().
+  /// Advances one protocol round: send, adversary, schedule, drain the
+  /// event queue to the round's completion tick, deliver. Returns true
+  /// while the run can continue: some process is still alive and not
+  /// halted, and the tick cap has not been reached. Calling it on a run
+  /// that cannot continue is a contract violation.
   bool step();
 
-  /// Runs the protocol to completion or to the max_rounds cap (rounds for
-  /// a synchronous scheduler, virtual-time ticks for an asynchronous one).
+  /// Calls step() until the protocol finishes or hits the max_rounds cap.
   RunResult run();
 
-  /// Rounds executed so far under a synchronous scheduler; virtual-time
-  /// ticks elapsed under an asynchronous one (one synchronous round = one
-  /// tick, so the two scales agree on the lock-step domain).
+  /// Virtual-time ticks elapsed so far (rounds executed, under lock-step
+  /// timing).
   [[nodiscard]] RoundNumber rounds_executed() const noexcept {
-    return next_round_;
+    return static_cast<RoundNumber>(now_);
   }
   [[nodiscard]] std::uint32_t num_processes() const noexcept {
     return config_.num_processes;
@@ -241,15 +245,15 @@ class Engine {
 
   void validate_and_apply(const CrashPlan& plan, RoundNumber round);
   void validate_and_index_corruption(const CorruptionPlan& plan);
-  void send_phase(RoundNumber round);
+  /// Collects the round's outboxes; `record_round` is the send tick.
+  void send_phase(RoundNumber round, RoundNumber record_round);
   /// Delivers the round's outboxes. `record_round` is the value stamped
-  /// into outcome records (decide/halt/quarantine rounds): the round itself
-  /// on the lock-step path, the current virtual tick minus one on the
-  /// asynchronous path (so the two scales agree when every delay is one
-  /// tick — the bit-identity argument in sim/scheduler.h).
+  /// into outcome records (decide/halt/quarantine rounds): the round's
+  /// completion tick minus one, which is the round itself under lock-step
+  /// timing (the bit-identity argument in sim/scheduler.h).
   void deliver_round(RoundNumber round, RoundNumber record_round);
   void send_chunk(WorkerState& ws, std::size_t begin, std::size_t end,
-                  RoundNumber round);
+                  RoundNumber round, RoundNumber record_round);
   void deliver_chunk(WorkerState& ws, std::span<const Envelope> shared_view,
                      std::size_t begin, std::size_t end, RoundNumber round,
                      RoundNumber record_round);
@@ -258,28 +262,21 @@ class Engine {
                        RoundNumber record_round);
   void note_progress(ProcessId id, RoundNumber round);
   [[nodiscard]] bool protocol_running() const;
-  /// The event-driven executor (asynchronous schedulers): advances the
-  /// virtual clock through the event queue, fires a protocol round when its
-  /// inbox completes, dispatches on_timeout, and enforces max_rounds in
-  /// ticks. Serial by construction.
-  RunResult run_async();
-  /// True when this round's fan-outs go through the pool (num_threads > 1,
-  /// no trace sink attached, and the lock-step path — the async path is
-  /// always serial).
+  /// protocol_running() and the tick cap not yet reached.
+  [[nodiscard]] bool can_step() const;
+  /// True when this round's fan-outs go through the pool (num_threads > 1
+  /// and no trace sink attached).
   [[nodiscard]] bool parallel() const noexcept {
-    return pool_ != nullptr && config_.trace == nullptr && !async_;
+    return pool_ != nullptr && config_.trace == nullptr;
   }
 
   EngineConfig config_;
   std::vector<std::unique_ptr<ProcessBase>> processes_;
-  /// The delivery policy; owns the crash/corruption adversary when
-  /// synchronous. Never null.
+  /// The delivery policy; owns the crash/corruption adversary, if any.
+  /// Never null.
   std::unique_ptr<DeliveryScheduler> scheduler_;
-  /// Borrowed from scheduler_ (null for asynchronous schedulers — the
-  /// event-driven path is crash-free by contract).
+  /// Borrowed from scheduler_; null means no crashes or corruption.
   Adversary* adversary_ = nullptr;
-  /// Cached !scheduler_->synchronous().
-  bool async_ = false;
 
   std::vector<Status> status_;
   std::vector<ProcessOutcome> outcomes_;
@@ -326,7 +323,10 @@ class Engine {
   std::unique_ptr<util::ThreadPool> pool_;
 
   Metrics metrics_;
-  RoundNumber next_round_ = 0;
+  /// The next protocol round to run.
+  RoundNumber round_ = 0;
+  /// The virtual clock: the tick at which round_ sends.
+  VirtualTime now_ = 0;
   std::uint32_t crashes_so_far_ = 0;
   std::uint32_t byzantine_so_far_ = 0;
 };

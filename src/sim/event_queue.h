@@ -1,13 +1,11 @@
-// Virtual-time event queue for the event-driven executor (sim/scheduler.h).
+// Virtual-time event queue for the engine's round loop (sim/scheduler.h).
 //
-// The asynchronous engine path advances a virtual clock measured in *ticks*
-// instead of assuming one delivery per lock-step round. Every in-flight
-// message batch is an event; the queue pops events in deterministic order —
-// keyed by (time, sender, seq) — so two batches scheduled for the same tick
-// always resolve the same way regardless of insertion order. That tie-break
-// is what makes every asynchronous run a pure function of
-// (algorithm, n, scheduler, seed), the same determinism contract the
-// synchronous engine has always had.
+// The engine advances a virtual clock measured in *ticks*; a lock-step round
+// is one tick. Every in-flight message batch is an event; the queue pops
+// events in deterministic order — keyed by (time, sender, seq) — so two
+// batches scheduled for the same tick always resolve the same way regardless
+// of insertion order. That tie-break is what makes every run a pure function
+// of (algorithm, n, scheduler, seed) under any delivery scheduler.
 #pragma once
 
 #include <algorithm>
@@ -26,12 +24,12 @@ using VirtualTime = std::uint64_t;
 
 /// One scheduled delivery: the (sender, round) message batch emitted at some
 /// earlier tick, due to arrive at `time`. Payloads stay in the sender's
-/// outbox (see Engine::run_async for the lifetime argument); the event only
+/// outbox (see Engine::step for the lifetime argument); the event only
 /// names the batch.
 struct DeliveryEvent {
   VirtualTime time = 0;
   ProcessId sender = kNoProcess;
-  /// Global enqueue counter — the final tie-break, so even hypothetical
+  /// Enqueue counter — the final tie-break, so even hypothetical
   /// duplicate (time, sender) keys pop in a defined order.
   std::uint64_t seq = 0;
   /// Protocol round of the batch (the round argument its recipients will be

@@ -1,12 +1,12 @@
 // The delivery scheduler: the adversary role generalized from "who crashes"
 // to "when does each message arrive".
 //
-// The lock-step engine hard-coded one scheduling policy — every message sent
-// in round r is delivered at the start of round r's receive phase. The
-// event-driven executor factors that policy out: a DeliveryScheduler assigns
-// every (sender, round) message batch a delivery tick on the virtual clock
-// (sim/event_queue.h), and the engine fires a protocol round as soon as its
-// inbox is complete. The scheduler *is* the timing adversary.
+// Lock-step delivery is one scheduling policy — every message sent in round
+// r is delivered at the start of round r's receive phase. The engine factors
+// that policy out: a DeliveryScheduler assigns every (sender, round) message
+// batch a delivery tick on the virtual clock (sim/event_queue.h), and the
+// engine fires a protocol round as soon as its inbox is complete. The
+// scheduler *is* the timing adversary.
 //
 // Contract (checked by the engine):
 //   * Progress: deliver_at(batch) > batch.send_tick — delivery takes at
@@ -14,7 +14,7 @@
 //   * Fairness / eventual delivery: every batch gets a finite delivery tick;
 //     a scheduler cannot drop messages, only delay them. A scheduler that
 //     starves delivery anyway (delays past EngineConfig::max_rounds, which
-//     the async path enforces in ticks) ends the run at the cap with
+//     the engine enforces in ticks) ends the run at the cap with
 //     completed = false — it cannot loop the engine forever.
 //   * Determinism: deliver_at must be a pure function of (construction
 //     arguments, batches seen so far). All randomness comes from a generator
@@ -22,16 +22,15 @@
 //     perturb process coin flips or crash schedules.
 //
 // The synchronous model is the special case deliver_at = send_tick + 1
-// (SynchronousScheduler). It also carries the legacy crash/corruption
-// Adversary object: when the engine sees synchronous() it runs the original
-// round-batched fabric with that adversary — bit-identical to the
-// pre-refactor engine, because lock-step scheduling makes the event-queue
-// plan and the batched round plan the same plan (every round-r batch arrives
-// at the same tick, in sender order — exactly what deliver_round built).
-// The delay schedulers run the genuinely event-driven path, which is
-// crash-free by contract: delay adversaries attack timing, not processes
+// (SynchronousScheduler), and a run through it is bit-identical to the
+// pre-scheduler lock-step engine: every round-r batch arrives at the same
+// tick, so each round completes one tick after it sends and the clock reads
+// the round number. Every scheduler drives the same engine round loop, and
+// any scheduler may carry a crash/corruption Adversary (adversary()); the
+// engine consults it between the send phase and scheduling, exactly as in
+// lock-step. The harness's delay kinds still carry none
 // (harness::make_scheduler rejects mixing a delay kind with crash or
-// Byzantine budgets).
+// Byzantine budgets), and timeouts require zero budgets in the engine.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +51,7 @@ struct DelaySpec {
   /// Bounded-delay bound d: each batch's delay is drawn uniformly from
   /// [1, d] ticks. d = 1 is special-cased to consume no randomness at all,
   /// so a bounded-delay run at d = 1 is bit-identical to the synchronous
-  /// scheduler (the async_overhead bench and tests/async_test.cpp rely on
-  /// this). For the GST scheduler this is the *pre-GST* delay bound.
+  /// scheduler (tests/async_test.cpp relies on this). For the GST scheduler this is the *pre-GST* delay bound.
   std::uint32_t max_delay = 1;
   /// Global stabilization tick for the GST scheduler: batches sent at
   /// tick >= gst are delivered in exactly one tick (synchrony holds from
@@ -86,15 +84,14 @@ class DeliveryScheduler {
   DeliveryScheduler& operator=(const DeliveryScheduler&) = delete;
   virtual ~DeliveryScheduler();
 
-  /// True = lock-step timing: the engine runs the original round-batched
-  /// synchronous fabric (with this scheduler's adversary()) instead of the
-  /// event queue. This is an identity-preserving fast path, not a semantic
-  /// switch — see the file comment.
+  /// True = lock-step timing (every batch arrives one tick after it is
+  /// sent). Descriptive only: the engine runs the same loop for every
+  /// scheduler and does not read it.
   [[nodiscard]] virtual bool synchronous() const noexcept { return false; }
 
-  /// The crash/corruption adversary this scheduler carries; null for the
-  /// delay schedulers (the async path is crash-free by contract). Borrowed,
-  /// owned by the scheduler.
+  /// The crash/corruption adversary this scheduler carries; null means no
+  /// crashes or corruption (the harness's delay schedulers carry none).
+  /// Borrowed, owned by the scheduler.
   [[nodiscard]] virtual Adversary* adversary() noexcept { return nullptr; }
 
   /// Assigns the delivery tick for `batch`. Must satisfy the progress
@@ -109,8 +106,7 @@ class DeliveryScheduler {
 };
 
 /// Lock-step timing: every batch is delivered one tick after it is sent.
-/// Carries the legacy Adversary (may be null = failure-free); the engine's
-/// synchronous fast path consumes it exactly as the pre-refactor engine did.
+/// Carries the crash/corruption Adversary (may be null = failure-free).
 class SynchronousScheduler final : public DeliveryScheduler {
  public:
   explicit SynchronousScheduler(std::unique_ptr<Adversary> adversary)

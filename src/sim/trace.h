@@ -18,6 +18,9 @@ namespace bil::sim {
 
 /// Engine life-cycle callbacks, invoked in execution order. All callbacks
 /// have empty default implementations so sinks override only what they use.
+/// on_round_begin and on_send carry the protocol round; on_crash, on_decide
+/// and on_halt carry the virtual tick the outcome records (ProcessOutcome),
+/// which equals the round under lock-step timing.
 class TraceSink {
  public:
   TraceSink() = default;

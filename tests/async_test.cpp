@@ -1,14 +1,18 @@
-// Tests for the event-driven asynchronous executor (sim/event_queue.h,
-// sim/scheduler.h, Engine::run_async): deterministic event ordering,
+// Tests for the engine's delivery schedulers (sim/event_queue.h,
+// sim/scheduler.h, Engine::step): deterministic event ordering,
 // bit-identity of the d = 1 bounded-delay schedule with the lock-step
 // engine, thread-width invariance, tick bounds under bounded delay and
-// partial synchrony (GST), timeout-based early termination, the clean
-// capped exit under a starved delivery schedule, and the layer diagnostics
+// partial synchrony (GST), the crash plane composed with the delay plane,
+// traces under delay, timeout-based early termination, the clean capped
+// exit under a starved delivery schedule, and the layer diagnostics
 // (make_adversary / make_scheduler / fast-sim routing) for the delay kinds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "api/backend.h"
@@ -20,7 +24,9 @@
 #include "sim/event_queue.h"
 #include "sim/scheduler.h"
 #include "sim/trace.h"
+#include "tree/shape.h"
 #include "util/contract.h"
+#include "util/rng.h"
 #include "wire/wire.h"
 
 namespace bil {
@@ -123,10 +129,9 @@ TEST(AsyncEngine, AsyncRunsAreDeterministic) {
   }
 }
 
-// The async path is always serial (ticks are globally ordered), so any
-// requested engine_threads width must produce the same result — invariance
-// holds trivially, but the plumbing (config validation, pool bypass) must
-// not diverge.
+// Delays move whole rounds on the clock, never the work inside one, so the
+// send and receive fan-outs shard under a delay scheduler exactly as in
+// lock-step and any engine_threads width must produce the same result.
 TEST(AsyncEngine, ThreadWidthDoesNotChangeAsyncResults) {
   harness::RunConfig serial = base_config(128, 3);
   serial.adversary = bounded_delay(4);
@@ -173,6 +178,122 @@ TEST(AsyncEngine, GstRunsObeyContractBoundAfterStabilization) {
                 static_cast<double>(kGst) + search::loglog_round_bound(n))
           << "n=" << n << " seed=" << seed;
     }
+  }
+}
+
+// ---- crash plane x delay plane ------------------------------------------------
+
+/// Delays every batch uniformly in [1, max_delay] ticks (the bounded-delay
+/// draw, same seed domain) while carrying a crash adversary: the composition
+/// of the two planes, which the harness does not offer as one kind.
+class CrashingDelayScheduler final : public sim::DeliveryScheduler {
+ public:
+  CrashingDelayScheduler(std::unique_ptr<sim::Adversary> adversary,
+                         std::uint32_t max_delay, std::uint64_t run_seed)
+      : adversary_(std::move(adversary)),
+        delays_(sim::DelaySpec{.max_delay = max_delay},
+                derive_seed(run_seed, core::kSeedDomainDelay, 0)) {}
+
+  [[nodiscard]] sim::Adversary* adversary() noexcept override {
+    return adversary_.get();
+  }
+  [[nodiscard]] sim::VirtualTime deliver_at(
+      const sim::SendBatch& batch) override {
+    return delays_.deliver_at(batch);
+  }
+
+ private:
+  std::unique_ptr<sim::Adversary> adversary_;
+  sim::BoundedDelayScheduler delays_;
+};
+
+constexpr std::uint32_t kComposedN = 128;
+
+harness::AdversarySpec oblivious_crashes() {
+  return harness::AdversarySpec{.kind = harness::AdversaryKind::kOblivious,
+                                .crashes = kComposedN / 16};
+}
+
+/// Runs balls-into-leaves at kComposedN under `seed` with the oblivious crash
+/// plane (or none) and the delay plane at `max_delay` (0 = lock-step
+/// SynchronousScheduler).
+sim::RunResult run_planes(std::uint64_t seed, bool crashes,
+                          std::uint32_t max_delay) {
+  harness::RunConfig config = base_config(kComposedN, seed);
+  if (crashes) {
+    config.adversary = oblivious_crashes();
+  }
+  const auto shape = tree::TreeShape::make(config.n);
+  std::unique_ptr<sim::Adversary> adversary =
+      harness::make_adversary(config.adversary, config.n, seed, shape);
+  std::unique_ptr<sim::DeliveryScheduler> scheduler;
+  if (max_delay == 0) {
+    scheduler = std::make_unique<sim::SynchronousScheduler>(
+        std::move(adversary));
+  } else {
+    scheduler = std::make_unique<CrashingDelayScheduler>(std::move(adversary),
+                                                         max_delay, seed);
+  }
+  sim::Engine engine(
+      sim::EngineConfig{.num_processes = config.n,
+                        .max_crashes = config.adversary.crashes},
+      harness::make_processes(config, shape), std::move(scheduler));
+  return engine.run();
+}
+
+// Each plane alone first: the test scheduler with no adversary is the
+// harness's bounded-delay run, and the lock-step helper with the crash
+// adversary is the harness's oblivious run.
+TEST(ComposedPlanes, EachPlaneAloneMatchesTheHarness) {
+  for (std::uint64_t seed : {1u, 2u}) {
+    harness::RunConfig delayed = base_config(kComposedN, seed);
+    delayed.adversary = bounded_delay(4);
+    EXPECT_EQ(run_planes(seed, /*crashes=*/false, 4),
+              harness::run_renaming(delayed).raw);
+
+    harness::RunConfig crashing = base_config(kComposedN, seed);
+    crashing.adversary = oblivious_crashes();
+    const sim::RunResult crashed = run_planes(seed, /*crashes=*/true, 0);
+    EXPECT_EQ(crashed, harness::run_renaming(crashing).raw);
+    EXPECT_GT(std::count_if(crashed.outcomes.begin(), crashed.outcomes.end(),
+                            [](const sim::ProcessOutcome& outcome) {
+                              return outcome.crashed;
+                            }),
+              0);
+  }
+}
+
+// At d = 1 the composed scheduler is the lock-step schedule: the whole
+// result, crash rounds included, must be bit-identical.
+TEST(ComposedPlanes, CrashesUnderDelayOneAreBitIdenticalToLockStep) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    EXPECT_EQ(run_planes(seed, /*crashes=*/true, 1),
+              run_planes(seed, /*crashes=*/true, 0))
+        << "seed " << seed;
+  }
+}
+
+// At d = 4 the clock stretches but the protocol trajectory does not: the
+// same processes crash, the same names are decided, and the traffic is
+// equal; each round spans at most 4 ticks, and the renaming is valid.
+TEST(ComposedPlanes, CrashesUnderDelayFourKeepTheLockStepTrajectory) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const sim::RunResult lock_step = run_planes(seed, /*crashes=*/true, 0);
+    const sim::RunResult delayed = run_planes(seed, /*crashes=*/true, 4);
+    ASSERT_EQ(delayed.outcomes.size(), lock_step.outcomes.size());
+    for (std::size_t i = 0; i < delayed.outcomes.size(); ++i) {
+      EXPECT_EQ(delayed.outcomes[i].crashed, lock_step.outcomes[i].crashed)
+          << "seed " << seed << " ball " << i;
+      EXPECT_EQ(delayed.outcomes[i].name, lock_step.outcomes[i].name)
+          << "seed " << seed << " ball " << i;
+    }
+    EXPECT_EQ(delayed.metrics.total_deliveries,
+              lock_step.metrics.total_deliveries);
+    EXPECT_EQ(delayed.metrics.total_bytes_delivered,
+              lock_step.metrics.total_bytes_delivered);
+    EXPECT_GT(delayed.rounds, lock_step.rounds);
+    EXPECT_LE(delayed.rounds, 4u * lock_step.rounds);
+    EXPECT_NO_THROW(sim::validate_renaming(delayed, kComposedN));
   }
 }
 
@@ -235,15 +356,15 @@ TEST(AsyncEngine, StarvedDeliveryHitsTickCapCleanly) {
   const sim::RunResult result = engine.run();
   EXPECT_FALSE(result.completed);
   // max_rounds = 0 resolves to the documented default 16n + 64, enforced in
-  // virtual-time ticks on the async path.
+  // virtual-time ticks.
   EXPECT_EQ(result.rounds, 16 * kN + 64);
 }
 
 // ---- layer contracts and diagnostics ----------------------------------------
 
-// Delay adversaries assume the DeliveryScheduler role; the event-driven
-// path is crash-free by contract, so combining a delay kind with a crash or
-// Byzantine budget must fail loudly at scheduler construction.
+// Delay adversaries assume the DeliveryScheduler role; the harness keeps
+// them crash-free, so combining a delay kind with a crash or Byzantine
+// budget must fail loudly at scheduler construction.
 TEST(AsyncLayers, MakeSchedulerRejectsFailureBudgets) {
   harness::AdversarySpec crashing = bounded_delay(4);
   crashing.crashes = 2;
@@ -261,14 +382,35 @@ TEST(AsyncLayers, MakeAdversaryRejectsDelayKinds) {
                ContractViolation);
 }
 
-// The trace sink records the lock-step schedule; the async path has no
-// trace hook, and must say so rather than silently dropping events.
-TEST(AsyncLayers, TraceIsRejectedOnTheAsyncPath) {
-  sim::TextTrace trace;
+// A one-tick delay schedule is the lock-step schedule, so the trace it
+// streams must match the lock-step trace byte for byte.
+TEST(AsyncLayers, TraceUnderDelayOneMatchesLockStep) {
+  const auto trace_of = [](const harness::AdversarySpec& spec) {
+    sim::TextTrace trace;
+    harness::RunConfig config = base_config(16, 1);
+    config.adversary = spec;
+    config.trace = &trace;
+    (void)harness::run_renaming(config);
+    std::ostringstream os;
+    trace.dump(os);
+    return os.str();
+  };
+  const std::string lock_step = trace_of(harness::AdversarySpec{});
+  EXPECT_FALSE(lock_step.empty());
+  EXPECT_EQ(trace_of(bounded_delay(1)), lock_step);
+}
+
+// Timeouts decide on a partial view, which is only sound when silence means
+// lateness; the engine refuses a timeout scheduler under a crash budget.
+TEST(AsyncLayers, EngineRejectsTimeoutsUnderCrashBudget) {
   harness::RunConfig config = base_config(16, 1);
-  config.adversary = bounded_delay(4);
-  config.trace = &trace;
-  EXPECT_THROW((void)harness::run_renaming(config), ContractViolation);
+  const auto shape = tree::TreeShape::make(config.n);
+  EXPECT_THROW(
+      sim::Engine(sim::EngineConfig{.num_processes = 16, .max_crashes = 1},
+                  harness::make_processes(config, shape),
+                  std::make_unique<sim::BoundedDelayScheduler>(
+                      sim::DelaySpec{.max_delay = 2, .timeout = 1}, 1)),
+      ContractViolation);
 }
 
 // Registry metadata: the delay kinds are async-only and engine-only, and

@@ -10,6 +10,7 @@
 
 #include "sim/adversaries.h"
 #include "sim/engine.h"
+#include "sim/scheduler.h"
 #include "sim/trace.h"
 #include "util/contract.h"
 #include "wire/wire.h"
@@ -261,6 +262,52 @@ TEST(Engine, ResultSnapshotsMidRun) {
   const RunResult mid = engine.result();
   EXPECT_FALSE(mid.completed);
   EXPECT_EQ(mid.rounds, 1u);
+}
+
+/// Broadcasts every round, then decides and halts inside on_send of round
+/// `last`, after queuing that round's broadcast.
+class HaltInSendProcess final : public ProcessBase {
+ public:
+  HaltInSendProcess(ProcessId id, RoundNumber last) : id_(id), last_(last) {}
+
+  void on_send(RoundNumber round, Outbox& out) override {
+    out.broadcast(payload_of(id_));
+    if (round == last_) {
+      decide(id_ + 1);
+      halt();
+    }
+  }
+  void on_receive(RoundNumber /*round*/,
+                  std::span<const Envelope> /*inbox*/) override {}
+
+ private:
+  ProcessId id_;
+  RoundNumber last_;
+};
+
+RunResult run_halt_in_send(std::unique_ptr<DeliveryScheduler> scheduler) {
+  std::vector<std::unique_ptr<ProcessBase>> processes;
+  for (ProcessId id = 0; id < 4; ++id) {
+    processes.push_back(std::make_unique<HaltInSendProcess>(id, 2));
+  }
+  Engine engine(EngineConfig{.num_processes = 4}, std::move(processes),
+                std::move(scheduler));
+  return engine.run();
+}
+
+// A round in which every process halts inside on_send still counts: its
+// sends happened. The lock-step scheduler and its one-tick bounded-delay
+// twin run the same loop, so they must agree on the whole result.
+TEST(Engine, RoundWhereEveryoneHaltsInSendCountsUnderEveryScheduler) {
+  const RunResult sync =
+      run_halt_in_send(std::make_unique<SynchronousScheduler>(nullptr));
+  const RunResult delayed = run_halt_in_send(
+      std::make_unique<BoundedDelayScheduler>(DelaySpec{.max_delay = 1}, 1));
+  EXPECT_TRUE(sync.completed);
+  EXPECT_EQ(sync.rounds, 3u);
+  EXPECT_EQ(sync.outcomes[0].halt_round, 2u);
+  EXPECT_EQ(delayed.rounds, sync.rounds);
+  EXPECT_EQ(delayed, sync);
 }
 
 // ---- validate_renaming ------------------------------------------------------
