@@ -1,11 +1,11 @@
 // E3 — Theorems 3 and 4: the early-terminating extension finishes in O(1)
 // rounds failure-free and O(log log f) rounds with f failures.
 //
-// Setup (fast sim, exact for init-round crashes — see core/fast_sim.h):
-// n = 4096 fixed; f balls crash during the label exchange, each delivering
-// its label to a random half of the survivors, which shifts ranks and makes
-// the §6 deterministic first phase collide. The randomized phases then
-// clear subtrees of size O(f).
+// Setup (fast sim replaying the burst adversary — see
+// core/fast_sim_crash.h): n = 4096 fixed; f random balls crash during the
+// label exchange, each delivering its label to a random half of the
+// survivors, which shifts ranks and makes the §6 deterministic first phase
+// collide. The randomized phases then clear subtrees of size O(f).
 //
 // Expected shape: rounds ≈ 3 at f=0 (Theorem 3), then grows with
 // log log f, not with n (Theorem 4); the engine cross-check at n=512 shows
@@ -16,6 +16,8 @@
 
 #include "bench_common.h"
 #include "core/fast_sim.h"
+#include "core/fast_sim_crash.h"
+#include "sim/adversaries.h"
 
 namespace {
 
@@ -32,15 +34,22 @@ void fast_sweep() {
     std::vector<double> rounds;
     double phases = 0;
     for (std::uint32_t seed = 1; seed <= kSeeds; ++seed) {
-      core::FastSimOptions options;
-      options.n = n;
-      options.seed = seed;
-      options.policy = core::PathPolicy::kEarlyTerminating;
-      options.init_crashes = f;
-      options.init_delivery = core::InitDelivery::kRandomHalf;
-      const auto result = core::run_fast_sim(options);
-      rounds.push_back(static_cast<double>(result.rounds()));
-      phases += result.phases;
+      sim::BurstCrashAdversary adversary(
+          sim::BurstCrashAdversary::Options{
+              .count = f,
+              .when = 0,
+              .subset_policy = sim::SubsetPolicy::kRandomHalf,
+              .lowest_ids = false},
+          seed);
+      const auto result = core::run_fast_sim_crash(
+          core::CrashFastSimOptions{
+              .n = n,
+              .seed = seed,
+              .policy = core::PathPolicy::kEarlyTerminating,
+              .max_crashes = f},
+          &adversary);
+      rounds.push_back(static_cast<double>(result.rounds));
+      phases += (result.rounds - 1) / 2;
     }
     const stats::Summary summary = stats::summarize(rounds);
     table.add_row({stats::fmt_int(f), stats::fmt_fixed(summary.mean, 2),

@@ -1,7 +1,6 @@
 #include "api/backend.h"
 
 #include "api/registry.h"
-#include "core/fast_sim.h"
 #include "core/fast_sim_crash.h"
 #include "core/fast_sim_targeted.h"
 #include "tree/shape.h"
@@ -82,37 +81,18 @@ RunRecord FastSimBackend::run(const CellConfig& cell,
   BIL_REQUIRE(incompatibility.empty(), incompatibility);
   RunRecord record;
   record.seed = seed;
-  // Payloads are never materialized on either fast path; byte counts are
+  // Payloads are never materialized on the fast path; byte counts are
   // absent (JSON null), never fake zeros.
   record.bytes_measured = false;
 
-  if (cell.adversary.kind == harness::AdversaryKind::kNone) {
-    core::FastSimOptions options;
-    options.n = cell.n;
-    options.seed = seed;
-    options.policy = algorithm_info(cell.algorithm).policy;
-    const core::FastSimResult result = core::run_fast_sim(options);
-    BIL_ENSURE(result.completed, "fast sim hit its phase cap");
-    validate_fast_names(result.names, cell.n, 0);
-    record.rounds = result.rounds();
-    record.total_rounds = result.rounds();
-    // Crash-free all-broadcast protocol: every round each of the n
-    // processes broadcasts once and all n receive (processes halt only
-    // after the final delivery), so the engine would have measured exactly
-    // n² deliveries per round.
-    record.messages_delivered = static_cast<std::uint64_t>(cell.n) * cell.n *
-                                record.total_rounds;
-    record.names = result.names;
-    return record;
-  }
-
-  // Crash cell: replay the exact adversary object the engine harness would
-  // construct for this (spec, n, seed), so victim choices, crash rounds and
-  // delivery-subset coins are bit-identical (core/fast_sim_crash.h). The
-  // protocol-aware targeted kinds additionally need the tree shape their
-  // decode logic measures depths against — TreeShape::make is a pure
-  // function of n, so a fresh shape is the engine's shape — and are driven
-  // through the traffic oracle (core/fast_sim_targeted.h).
+  // Replay the exact adversary object the engine harness would construct
+  // for this (spec, n, seed) — none for a crash-free cell — so victim
+  // choices, crash rounds and delivery-subset coins are bit-identical
+  // (core/fast_sim_crash.h). The protocol-aware targeted kinds additionally
+  // need the tree shape their decode logic measures depths against —
+  // TreeShape::make is a pure function of n, so a fresh shape is the
+  // engine's shape — and are driven through the traffic oracle
+  // (core/fast_sim_targeted.h).
   const bool targeted =
       cell.adversary.kind == harness::AdversaryKind::kTargetedWinner ||
       cell.adversary.kind == harness::AdversaryKind::kTargetedAnnouncer;

@@ -4,11 +4,11 @@
 // harness::run_renaming — exact semantics, every adversary, O(n²) messages
 // per round, practical to n ≈ 2¹⁴ since the round-batched delivery fabric
 // (see docs/perf.md; ~2¹¹ before it). FastSimBackend drives the single-view
-// simulators — core::run_fast_sim for crash-free cells,
-// core::run_fast_sim_crash for cells attacked by a schedule-only crash
-// adversary (oblivious/burst/eager/sandwich), and
-// core::run_fast_sim_targeted (the traffic-oracle path) for the
-// protocol-aware targeted adversaries — bit-identical to the engine on
+// simulator — core::run_fast_sim_crash for crash-free cells (no adversary)
+// and cells attacked by a schedule-only crash adversary
+// (oblivious/burst/eager/sandwich), and core::run_fast_sim_targeted (its
+// traffic-oracle path) for the protocol-aware targeted adversaries —
+// bit-identical to the engine on
 // their shared domain (asserted by tests/fast_sim_test.cpp,
 // tests/fastsim_crash_test.cpp and tests/fastsim_targeted_test.cpp),
 // O(n log n) per phase, practical past n = 2¹⁸. select_backend picks per

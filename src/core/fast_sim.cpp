@@ -1,236 +1,21 @@
 #include "core/fast_sim.h"
 
-#include <algorithm>
-#include <numeric>
-#include <vector>
+#include <utility>
 
-#include "core/seeds.h"
-#include "tree/local_view.h"
-#include "util/contract.h"
-#include "util/rng.h"
+#include "core/fast_sim_crash.h"
 
 namespace bil::core {
 
-namespace {
-
-/// Per-ball simulation state. Labels are the dense indices 0..n-1, matching
-/// the harness's default label assignment so engine runs are comparable.
-struct Ball {
-  Rng rng;
-  /// Rank this ball uses for a deterministic phase-1 path. Differs across
-  /// balls after init crashes with partial delivery: ball i counts every
-  /// lower-labelled survivor plus every lower-labelled crasher whose init
-  /// broadcast it received.
-  std::uint64_t phase1_rank = 0;
-  bool crashed = false;
-};
-
-}  // namespace
-
 FastSimResult run_fast_sim(const FastSimOptions& options) {
-  BIL_REQUIRE(options.n >= 1, "need at least one ball");
-  BIL_REQUIRE(options.init_crashes < options.n,
-              "at least one ball must survive the init round");
-  const std::uint32_t n = options.n;
-  const std::uint32_t max_phases =
-      options.max_phases != 0 ? options.max_phases : 8 * n + 32;
-
-  std::vector<Ball> balls;
-  balls.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    balls.push_back(Ball{
-        .rng = Rng(derive_seed(options.seed, kSeedDomainProcess, i)),
-        .phase1_rank = 0,
-        .crashed = false});
-  }
-
-  // ---- Init round: pick the crashers and compute per-ball phase-1 ranks.
-  Rng adversary_rng(derive_seed(options.seed, kSeedDomainAdversary, 0));
-  std::vector<std::uint32_t> victims;
-  if (options.init_crashes > 0) {
-    std::vector<std::uint32_t> ids(n);
-    std::iota(ids.begin(), ids.end(), 0);
-    if (!options.init_crash_lowest) {
-      for (std::uint32_t i = 0; i < options.init_crashes; ++i) {
-        const std::uint64_t j =
-            i + adversary_rng.below(static_cast<std::uint64_t>(n) - i);
-        std::swap(ids[i], ids[j]);
-      }
-    }
-    victims.assign(ids.begin(), ids.begin() + options.init_crashes);
-    std::sort(victims.begin(), victims.end());
-    for (std::uint32_t v : victims) {
-      balls[v].crashed = true;
-    }
-  }
-  // Ball i's init view contains every survivor plus the crashers delivered
-  // to it; its phase-1 rank is the count of lower labels in that view.
-  {
-    std::uint32_t survivors_below = 0;
-    std::vector<std::vector<bool>> sees_victim;  // [victim index][ball]
-    sees_victim.reserve(victims.size());
-    for (std::uint32_t v : victims) {
-      std::vector<bool> sees(n, false);
-      switch (options.init_delivery) {
-        case InitDelivery::kSilent:
-          break;
-        case InitDelivery::kAlternating: {
-          bool include = true;
-          for (std::uint32_t i = 0; i < n; ++i) {
-            if (i == v || balls[i].crashed) {
-              continue;
-            }
-            sees[i] = include;
-            include = !include;
-          }
-          break;
-        }
-        case InitDelivery::kRandomHalf:
-          for (std::uint32_t i = 0; i < n; ++i) {
-            if (i != v && !balls[i].crashed) {
-              sees[i] = adversary_rng.bernoulli_ratio(1, 2);
-            }
-          }
-          break;
-      }
-      sees_victim.push_back(std::move(sees));
-    }
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (balls[i].crashed) {
-        continue;
-      }
-      std::uint64_t rank = survivors_below;
-      for (std::size_t k = 0; k < victims.size(); ++k) {
-        if (victims[k] < i && sees_victim[k][i]) {
-          ++rank;
-        }
-      }
-      balls[i].phase1_rank = rank;
-      ++survivors_below;
-    }
-  }
-
-  // ---- The one common view: survivors at the root. (Stale root entries for
-  // init crashers influence nothing but the ranks computed above, so they
-  // are not materialized.)
-  tree::LocalTreeView view(tree::TreeShape::make(n));
-  {
-    std::vector<sim::Label> labels;
-    labels.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (!balls[i].crashed) {
-        labels.push_back(i);
-      }
-    }
-    view.insert_all_at_root(labels);
-  }
-  const tree::TreeShape& shape = view.shape();
-
+  CrashFastSimResult run = run_fast_sim_crash(
+      CrashFastSimOptions{
+          .n = options.n, .seed = options.seed, .policy = options.policy},
+      nullptr);
   FastSimResult result;
-  std::vector<tree::NodeId> target_of(n, tree::kNoNode);
-
-  std::uint32_t phase = 1;
-  for (; phase <= max_phases; ++phase) {
-    // Clean crashes scheduled for this phase: remove random survivors.
-    for (const FastSimOptions::CleanCrash& crash : options.clean_crashes) {
-      if (crash.phase != phase) {
-        continue;
-      }
-      std::vector<sim::Label> alive = view.balls();
-      for (std::uint32_t c = 0; c < crash.count && !alive.empty(); ++c) {
-        const std::uint64_t pick = adversary_rng.below(alive.size());
-        const auto victim = static_cast<std::uint32_t>(alive[pick]);
-        alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(pick));
-        balls[victim].crashed = true;
-        view.remove(victim);
-      }
-    }
-
-    const std::vector<sim::Label> alive_now = view.balls();
-
-    // Node-mate ranks for the deterministic policies, batched: the per-ball
-    // helper costs O(B) per call, which is O(B²) per phase — ruinous at the
-    // sizes this simulator exists for. One sort gives all ranks in
-    // O(B log B). (Phase 1 uses the init-view ranks computed above instead.)
-    std::vector<std::uint32_t> mate_rank_of(n, 0);
-    const bool needs_ranks = phase > 1 &&
-                             (options.policy == PathPolicy::kRankedSlack ||
-                              options.policy == PathPolicy::kHalvingSplit);
-    if (needs_ranks) {
-      std::vector<std::pair<tree::NodeId, sim::Label>> by_node;
-      by_node.reserve(alive_now.size());
-      for (const sim::Label label : alive_now) {
-        by_node.emplace_back(view.current(label), label);
-      }
-      std::sort(by_node.begin(), by_node.end());
-      std::uint32_t rank = 0;
-      for (std::size_t k = 0; k < by_node.size(); ++k) {
-        rank = (k > 0 && by_node[k].first == by_node[k - 1].first) ? rank + 1
-                                                                   : 0;
-        mate_rank_of[static_cast<std::uint32_t>(by_node[k].second)] = rank;
-      }
-    }
-
-    // Round 1a: every ball picks its candidate target against the
-    // phase-start view (exactly what on_send sees in the engine).
-    for (const sim::Label label : alive_now) {
-      const auto i = static_cast<std::uint32_t>(label);
-      const tree::NodeId current = view.current(label);
-      if (shape.is_leaf(current)) {
-        target_of[i] = current;
-        continue;
-      }
-      switch (options.policy) {
-        case PathPolicy::kRandomWeighted:
-          target_of[i] = sample_weighted_leaf(view, current, balls[i].rng);
-          break;
-        case PathPolicy::kRankedSlack:
-          target_of[i] = ranked_slack_leaf(
-              view, current,
-              phase == 1 ? balls[i].phase1_rank : mate_rank_of[i]);
-          break;
-        case PathPolicy::kEarlyTerminating:
-          target_of[i] =
-              phase == 1
-                  ? ranked_slack_leaf(view, current, balls[i].phase1_rank)
-                  : sample_weighted_leaf(view, current, balls[i].rng);
-          break;
-        case PathPolicy::kHalvingSplit:
-          target_of[i] = halving_child(
-              view, current,
-              phase == 1 ? static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                               balls[i].phase1_rank,
-                               view.balls_at(current) - 1))
-                         : mate_rank_of[i],
-              view.balls_at(current));
-          break;
-        case PathPolicy::kRandomUniform:
-          target_of[i] = sample_uniform_leaf(view, current, balls[i].rng);
-          break;
-      }
-    }
-
-    // Round 1b: capacity-clipped movement in <R order (lines 12–18). Round 2
-    // is an identity in a single view (everyone already agrees).
-    for (const sim::Label label : view.ordered_balls()) {
-      view.descend_toward(label, target_of[static_cast<std::uint32_t>(label)]);
-    }
-
-    result.per_phase.push_back(snapshot_view(view, phase));
-    if (view.all_at_leaves()) {
-      result.completed = true;
-      break;
-    }
-  }
-
-  result.phases = std::min(phase, max_phases);
-  result.names.assign(n, 0);
-  if (result.completed) {
-    for (const sim::Label label : view.balls()) {
-      result.names[static_cast<std::size_t>(label)] =
-          shape.leaf_rank(view.current(label)) + 1;
-    }
-  }
+  result.completed = run.completed;
+  result.phases = static_cast<std::uint32_t>(run.per_phase.size());
+  result.per_phase = std::move(run.per_phase);
+  result.names = std::move(run.names);
   return result;
 }
 

@@ -71,6 +71,7 @@ class CrashFastSim {
         targets_(options.n, tree::kNoNode),
         new_pos_(options.n, tree::kNoNode),
         names_(options.n, 0) {
+    per_phase_.reserve(shape_->height() + 1);
     rngs_.reserve(options.n);
     for (std::uint32_t i = 0; i < options.n; ++i) {
       rngs_.emplace_back(derive_seed(options.seed, kSeedDomainProcess, i));
@@ -96,6 +97,7 @@ class CrashFastSim {
     result.rounds = last_decide_round_ + 1;
     result.crashes = crashes_so_far_;
     result.deliveries = deliveries_;
+    result.per_phase = std::move(per_phase_);
     result.names = std::move(names_);
     return result;
   }
@@ -141,15 +143,13 @@ class CrashFastSim {
               : sim::make_schedule_view(round, options_.n, alive_, budget);
       adversary_->schedule(view, plan);
     }
-    std::vector<char> crashed_this_round(options_.n, 0);
-    for (const sim::CrashPlan::Crash& crash : plan.crashes()) {
+    const std::span<const sim::CrashPlan::Crash> crashes = plan.crashes();
+    for (const sim::CrashPlan::Crash& crash : crashes) {
       BIL_REQUIRE(crash.victim < options_.n, "crash victim id out of range");
-      BIL_REQUIRE(status_[crash.victim] == Status::kAlive &&
-                      crashed_this_round[crash.victim] == 0,
+      BIL_REQUIRE(status_[crash.victim] == Status::kAlive,
                   "adversary crashed a process that is not alive");
       BIL_REQUIRE(crashes_so_far_ < options_.max_crashes,
                   "adversary exceeded its crash budget t");
-      crashed_this_round[crash.victim] = 1;
       status_[crash.victim] = Status::kCrashed;
       ++crashes_so_far_;
       --alive_count_;
@@ -157,16 +157,25 @@ class CrashFastSim {
 
     // ---- Delivery accounting, analytically: the (A−c) surviving
     // recipients each receive the (A−c) surviving broadcasts, plus each
-    // victim's final messages to the surviving part of its subset.
-    const auto survivors = static_cast<std::uint64_t>(alive_.size()) -
-                           plan.crashes().size();
+    // victim's final messages to the distinct surviving members of its
+    // deliver_to (a set, as in the engine's delivery mask).
+    const auto survivors =
+        static_cast<std::uint64_t>(alive_.size()) - crashes.size();
     deliveries_ += survivors * survivors;
-    for (const sim::CrashPlan::Crash& crash : plan.crashes()) {
-      for (const sim::ProcessId recipient : crash.deliver_to) {
-        if (recipient < options_.n && status_[recipient] == Status::kAlive) {
-          ++deliveries_;
-        }
-      }
+    reached_.resize(crashes.size());
+    for (std::size_t v = 0; v < crashes.size(); ++v) {
+      std::vector<sim::ProcessId>& reached = reached_[v];
+      reached.assign(crashes[v].deliver_to.begin(),
+                     crashes[v].deliver_to.end());
+      std::sort(reached.begin(), reached.end());
+      reached.erase(std::unique(reached.begin(), reached.end()),
+                    reached.end());
+      BIL_REQUIRE(reached.empty() || reached.back() < options_.n,
+                  "crash delivery recipient out of range");
+      std::erase_if(reached, [this](sim::ProcessId id) {
+        return status_[id] != Status::kAlive;
+      });
+      deliveries_ += reached.size();
     }
 
     // ---- Receive phase.
@@ -219,10 +228,8 @@ class CrashFastSim {
     // inboxes are identical.)
     std::vector<std::vector<std::uint32_t>> received(options_.n);
     for (std::uint32_t v = 0; v < crashes.size(); ++v) {
-      for (const sim::ProcessId recipient : crashes[v].deliver_to) {
-        if (recipient < options_.n && status_[recipient] == Status::kAlive) {
-          received[recipient].push_back(v);
-        }
+      for (const sim::ProcessId recipient : reached_[v]) {
+        received[recipient].push_back(v);
       }
     }
     std::map<std::vector<std::uint32_t>, std::vector<sim::ProcessId>> classes;
@@ -281,6 +288,7 @@ class CrashFastSim {
     for (const sim::CrashPlan::Crash& crash : plan.crashes()) {
       view_.remove(crash.victim);
     }
+    per_phase_.push_back(snapshot_view(view_, round / 2));
     if (!view_.all_at_leaves()) {
       return;
     }
@@ -309,61 +317,69 @@ class CrashFastSim {
 
   /// Target choice for every alive ball, against its own view = canonical
   /// view + the ghosts it received. Engine-equivalent inputs: subtree
-  /// capacities via the GhostedView overlay, node-mate ranks and halving
-  /// mates adjusted by co-located ghosts, per-ball coins from the same
-  /// derived stream.
+  /// capacities via the GhostedView overlay (the canonical view itself for
+  /// a ball holding no ghosts), node-mate ranks and halving mates adjusted
+  /// by co-located ghosts, per-ball coins from the same derived stream.
   void compute_targets(sim::RoundNumber round) {
     const bool needs_ranks =
         options_.policy == PathPolicy::kRankedSlack ||
         options_.policy == PathPolicy::kHalvingSplit ||
         (options_.policy == PathPolicy::kEarlyTerminating && round == 1);
-    std::vector<std::uint32_t> rank_of;
-    std::vector<std::uint32_t> mates_of;
     if (needs_ranks) {
-      rank_of.assign(options_.n, 0);
-      mates_of.assign(options_.n, 0);
-      // One sort gives every alive inner ball's rank among its node mates
-      // (halted balls sit on leaves and cannot be node mates of a ball
-      // that still needs a path).
-      std::vector<std::pair<tree::NodeId, sim::Label>> by_node;
-      by_node.reserve(alive_.size());
+      rank_of_.resize(options_.n);
+      mates_of_.resize(options_.n);
+      mates_at_.resize(shape_->num_nodes(), 0);
+      // alive_ is ascending, so counting each node's occupants in that
+      // order gives every alive ball its rank among its node mates (only
+      // inner balls' entries are read: halted balls sit on leaves and
+      // cannot be node mates of a ball that still needs a path).
       for (const sim::ProcessId id : alive_) {
-        const tree::NodeId node = view_.current(id);
-        if (!shape_->is_leaf(node)) {
-          by_node.emplace_back(node, id);
-        }
+        rank_of_[id] = mates_at_[view_.current(id)]++;
       }
-      std::sort(by_node.begin(), by_node.end());
-      for (std::size_t k = 0; k < by_node.size();) {
-        std::size_t end = k;
-        while (end < by_node.size() && by_node[end].first == by_node[k].first) {
-          ++end;
-        }
-        const auto mates = static_cast<std::uint32_t>(end - k);
-        for (std::size_t j = k; j < end; ++j) {
-          const auto id = static_cast<std::uint32_t>(by_node[j].second);
-          rank_of[id] = static_cast<std::uint32_t>(j - k);
-          mates_of[id] = mates;
-        }
-        k = end;
+      for (const sim::ProcessId id : alive_) {
+        mates_of_[id] = mates_at_[view_.current(id)];
+      }
+      for (const sim::ProcessId id : alive_) {
+        mates_at_[view_.current(id)] = 0;
       }
     }
 
-    std::vector<tree::NodeId> extras;
+    // `rank` and `mates` are read only by the rank-indexed policies, whose
+    // rank_of_/mates_of_ entries are fresh this round.
+    const auto choose = [&](const auto& view, sim::ProcessId id,
+                            tree::NodeId current, std::uint32_t rank,
+                            std::uint32_t mates) {
+      switch (options_.policy) {
+        case PathPolicy::kRandomWeighted:
+          return sample_weighted_leaf(view, current, rngs_[id]);
+        case PathPolicy::kRankedSlack:
+          return ranked_slack_leaf(view, current, rank);
+        case PathPolicy::kEarlyTerminating:
+          return round == 1 ? ranked_slack_leaf(view, current, rank)
+                            : sample_weighted_leaf(view, current, rngs_[id]);
+        case PathPolicy::kHalvingSplit:
+          return halving_child(view, current, rank, mates);
+        case PathPolicy::kRandomUniform:
+          return sample_uniform_leaf(view, current, rngs_[id]);
+      }
+      return tree::kNoNode;
+    };
     for (const sim::ProcessId id : alive_) {
       const tree::NodeId current = view_.current(id);
       if (shape_->is_leaf(current)) {
         targets_[id] = current;  // trivial path; no coins, no ranks
         continue;
       }
-      extras.clear();
+      const std::uint32_t rank = needs_ranks ? rank_of_[id] : 0;
+      const std::uint32_t mates = needs_ranks ? mates_of_[id] : 0;
+      extras_.clear();
       std::uint32_t ghost_rank = 0;
       std::uint32_t ghost_mates = 0;
       for (const Ghost& ghost : ghosts_) {
         if (ghost.members[id] == 0) {
           continue;
         }
-        extras.push_back(ghost.node);
+        extras_.push_back(ghost.node);
         if (ghost.node == current) {
           ++ghost_mates;
           if (ghost.label < id) {
@@ -371,44 +387,24 @@ class CrashFastSim {
           }
         }
       }
-      const GhostedView gview(view_, extras);
-      switch (options_.policy) {
-        case PathPolicy::kRandomWeighted:
-          targets_[id] = sample_weighted_leaf(gview, current, rngs_[id]);
-          break;
-        case PathPolicy::kRankedSlack:
-          targets_[id] =
-              ranked_slack_leaf(gview, current, rank_of[id] + ghost_rank);
-          break;
-        case PathPolicy::kEarlyTerminating:
-          targets_[id] =
-              round == 1
-                  ? ranked_slack_leaf(gview, current, rank_of[id] + ghost_rank)
-                  : sample_weighted_leaf(gview, current, rngs_[id]);
-          break;
-        case PathPolicy::kHalvingSplit:
-          targets_[id] = halving_child(gview, current,
-                                       rank_of[id] + ghost_rank,
-                                       mates_of[id] + ghost_mates);
-          break;
-        case PathPolicy::kRandomUniform:
-          targets_[id] = sample_uniform_leaf(gview, current, rngs_[id]);
-          break;
-      }
+      targets_[id] =
+          extras_.empty()
+              ? choose(view_, id, current, rank, mates)
+              : choose(GhostedView(view_, extras_), id, current,
+                       rank + ghost_rank, mates + ghost_mates);
     }
   }
 
   template <typename NodeOf>
   void add_ghosts(const sim::CrashPlan& plan, NodeOf node_of) {
-    for (const sim::CrashPlan::Crash& crash : plan.crashes()) {
+    const std::span<const sim::CrashPlan::Crash> crashes = plan.crashes();
+    for (std::size_t v = 0; v < crashes.size(); ++v) {
       Ghost ghost;
-      ghost.label = crash.victim;
-      ghost.node = node_of(crash);
+      ghost.label = crashes[v].victim;
+      ghost.node = node_of(crashes[v]);
       ghost.members.assign(options_.n, 0);
-      for (const sim::ProcessId recipient : crash.deliver_to) {
-        if (recipient < options_.n) {
-          ghost.members[recipient] = 1;
-        }
+      for (const sim::ProcessId recipient : reached_[v]) {
+        ghost.members[recipient] = 1;
       }
       ghosts_.push_back(std::move(ghost));
     }
@@ -437,6 +433,16 @@ class CrashFastSim {
   std::vector<tree::NodeId> new_pos_;
   std::vector<sim::Label> halted_pending_;
   std::vector<Ghost> ghosts_;
+  /// reached_[v]: the distinct surviving recipients of this round's v-th
+  /// victim, ascending.
+  std::vector<std::vector<sim::ProcessId>> reached_;
+  /// Per-ball node-mate rank and count for the rank-indexed policies;
+  /// mates_at_ is their per-node counter, all zero between rounds.
+  std::vector<std::uint32_t> rank_of_;
+  std::vector<std::uint32_t> mates_of_;
+  std::vector<std::uint32_t> mates_at_;
+  std::vector<tree::NodeId> extras_;
+  std::vector<PhaseSnapshot> per_phase_;
   std::vector<std::uint64_t> names_;
   std::uint32_t alive_count_ = 0;
   std::uint32_t crashes_so_far_ = 0;

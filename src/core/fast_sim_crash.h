@@ -1,11 +1,13 @@
-// Crash-capable single-view simulator: exact symbolic execution of the
-// oblivious crash adversaries on one canonical tree view.
+// The single-view simulator: exact symbolic execution of a tree-descent
+// run, crash-free or under a crash adversary, on one canonical tree view.
 //
-// The crash-free fast simulator (core/fast_sim.h) exploits the paper's §5
-// observation that without crashes all local views are identical. Crashes
-// with subset delivery ("some balls may receive this broadcast, while
-// others do not", §4) make views diverge — but the divergence is *transient
-// and structured*, which is what this module exploits:
+// It rests on the paper's §5 observation: "without crashes, local views of
+// the tree are always identical, and we therefore focus on one local view".
+// With a null adversary that one view is the whole execution (the
+// crash-free entry point core/fast_sim.h is a thin wrapper over this case).
+// Crashes with subset delivery ("some balls may receive this broadcast,
+// while others do not", §4) make views diverge — but the divergence is
+// *transient and structured*, which is what this module exploits:
 //
 //   1. A victim crashed during a **path round** (2φ−1) affects only that
 //      round's movement pass: recipients of its candidate path simulate its
@@ -67,6 +69,7 @@
 #include <span>
 #include <vector>
 
+#include "core/observer.h"
 #include "core/policy.h"
 #include "sim/adversary.h"
 #include "tree/local_view.h"
@@ -99,6 +102,11 @@ struct CrashFastSimResult {
   /// messages to its surviving delivery subset — identical to what the
   /// engine's metrics would measure (asserted by tests).
   std::uint64_t deliveries = 0;
+  /// The canonical view at the end of every phase (after the position
+  /// round, with that round's victims removed), one entry per phase.
+  /// Crash-free, every process's local view equals it, so it matches the
+  /// engine's PhaseObserver snapshots (asserted by tests).
+  std::vector<PhaseSnapshot> per_phase;
   /// Decided name per ball label (1-based), or 0 for crashed balls.
   std::vector<std::uint64_t> names;
 };
@@ -127,11 +135,11 @@ class AdversaryViewOracle {
       std::span<const tree::NodeId> targets) = 0;
 };
 
-/// Runs the simulation to completion. `adversary` may be null (failure-free;
-/// then this is equivalent to run_fast_sim but with engine-round
-/// bookkeeping) and must be freshly constructed for this run's seed — its
-/// internal RNG state is consumed exactly as an engine run would. With a
-/// null `oracle` the adversary is driven through the schedule-only view
+/// Runs the simulation to completion. A null `adversary` is a failure-free
+/// run (the case core::run_fast_sim wraps); a non-null one must be freshly
+/// constructed for this run's seed, since its internal RNG state is
+/// consumed exactly as an engine run would. With a null `oracle` the
+/// adversary is driven through the schedule-only view
 /// (sim::make_schedule_view) and must be schedule-only-drivable; a non-null
 /// oracle additionally serves protocol-aware adversaries by synthesizing
 /// the traffic they decode (core/fast_sim_targeted.h).

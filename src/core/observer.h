@@ -3,8 +3,9 @@
 // The complexity experiments need quantities the paper's analysis talks
 // about — bmax(φ) (Lemma 6), path populations (§5.2), balls left on inner
 // nodes — sampled at every phase boundary. A PhaseObserver attached to one
-// process (or to the fast simulator) receives a snapshot at the end of each
-// phase's second round, after position synchronization.
+// process receives a snapshot at the end of each phase's second round,
+// after position synchronization; the single-view simulator records the
+// same snapshots of its one view (CrashFastSimResult::per_phase).
 #pragma once
 
 #include <cstdint>

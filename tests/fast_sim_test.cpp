@@ -1,19 +1,22 @@
 // Tests for the single-view fast simulator, including its headline
 // guarantee: bit-identical equivalence with the message-passing engine on
-// failure-free runs with the same seed.
+// failure-free runs with the same seed. The init-round crash cases drive
+// the same simulator through the registered burst adversary.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/fast_sim.h"
+#include "core/fast_sim_crash.h"
 #include "harness/runner.h"
+#include "sim/adversaries.h"
 
 namespace bil {
 namespace {
 
+using core::CrashFastSimResult;
 using core::FastSimOptions;
 using core::FastSimResult;
-using core::InitDelivery;
 using core::PathPolicy;
 
 FastSimResult run(std::uint32_t n, std::uint64_t seed,
@@ -25,7 +28,33 @@ FastSimResult run(std::uint32_t n, std::uint64_t seed,
   return core::run_fast_sim(options);
 }
 
-void expect_valid_names(const FastSimResult& result, std::uint32_t n) {
+/// `count` balls crash during the init broadcast (Theorem 4's f), each
+/// delivering its label to `subset`; victims are the lowest labels when
+/// `lowest` holds (the §6 pattern), random otherwise.
+CrashFastSimResult run_init_crashes(std::uint32_t n, std::uint64_t seed,
+                                    std::uint32_t count,
+                                    sim::SubsetPolicy subset, bool lowest) {
+  sim::BurstCrashAdversary adversary(
+      sim::BurstCrashAdversary::Options{.count = count,
+                                        .when = 0,
+                                        .subset_policy = subset,
+                                        .lowest_ids = lowest},
+      seed);
+  return core::run_fast_sim_crash(
+      core::CrashFastSimOptions{.n = n,
+                                .seed = seed,
+                                .policy = PathPolicy::kEarlyTerminating,
+                                .max_crashes = count},
+      &adversary);
+}
+
+/// Phase in which the last correct ball decided.
+std::uint32_t phases(const CrashFastSimResult& result) {
+  return (result.rounds - 1) / 2;
+}
+
+template <typename Result>
+void expect_valid_names(const Result& result, std::uint32_t n) {
   ASSERT_TRUE(result.completed);
   std::vector<bool> used(n + 1, false);
   for (std::uint64_t name : result.names) {
@@ -76,12 +105,13 @@ TEST(FastSim, MatchesEngineExecutionFaultFree) {
       {harness::Algorithm::kHalving, PathPolicy::kHalvingSplit},
   };
   for (const auto& [algorithm, policy] : pairs) {
-    for (std::uint32_t n : {4u, 16u, 37u, 64u}) {
+    for (std::uint32_t n : {4u, 16u, 37u, 64u, 300u}) {
       for (std::uint64_t seed : {1ULL, 9ULL}) {
         harness::RunConfig config;
         config.algorithm = algorithm;
         config.n = n;
         config.seed = seed;
+        config.observe = true;
         const harness::RunSummary engine_run = harness::run_renaming(config);
         const FastSimResult fast = run(n, seed, policy);
         ASSERT_TRUE(fast.completed);
@@ -91,6 +121,20 @@ TEST(FastSim, MatchesEngineExecutionFaultFree) {
           EXPECT_EQ(fast.names[i], engine_run.raw.outcomes[i].name)
               << to_string(algorithm) << " n=" << n << " seed=" << seed
               << " ball=" << i;
+        }
+        // Crash-free, the observed process's local view is the one view.
+        ASSERT_EQ(fast.per_phase.size(), engine_run.phases.size())
+            << to_string(algorithm) << " n=" << n << " seed=" << seed;
+        for (std::size_t k = 0; k < fast.per_phase.size(); ++k) {
+          const core::PhaseSnapshot& got = fast.per_phase[k];
+          const core::PhaseSnapshot& want = engine_run.phases[k];
+          EXPECT_EQ(got.phase, want.phase);
+          EXPECT_EQ(got.balls_total, want.balls_total);
+          EXPECT_EQ(got.balls_inner, want.balls_inner);
+          EXPECT_EQ(got.bmax, want.bmax);
+          EXPECT_EQ(got.max_path_load, want.max_path_load)
+              << to_string(algorithm) << " n=" << n << " seed=" << seed
+              << " phase=" << k + 1;
         }
       }
     }
@@ -137,16 +181,11 @@ TEST(FastSim, HalvingDescendsOneLevelPerPhase) {
 // ---- Init-round crashes (Theorem 4's setting) -------------------------------
 
 TEST(FastSim, InitCrashesStillRename) {
-  for (InitDelivery delivery : {InitDelivery::kAlternating,
-                                InitDelivery::kRandomHalf,
-                                InitDelivery::kSilent}) {
-    FastSimOptions options;
-    options.n = 256;
-    options.seed = 5;
-    options.policy = PathPolicy::kEarlyTerminating;
-    options.init_crashes = 32;
-    options.init_delivery = delivery;
-    const FastSimResult result = core::run_fast_sim(options);
+  for (sim::SubsetPolicy subset :
+       {sim::SubsetPolicy::kAlternating, sim::SubsetPolicy::kRandomHalf,
+        sim::SubsetPolicy::kSilent}) {
+    const CrashFastSimResult result =
+        run_init_crashes(256, 5, 32, subset, /*lowest=*/false);
     expect_valid_names(result, 256);
     std::uint32_t crashed = 0;
     for (std::uint64_t name : result.names) {
@@ -159,29 +198,18 @@ TEST(FastSim, InitCrashesStillRename) {
 TEST(FastSim, SilentInitCrashesCauseNoCollisions) {
   // A silent crasher is invisible: ranks do not shift, so the §6 scheme
   // still finishes in one phase.
-  FastSimOptions options;
-  options.n = 512;
-  options.seed = 6;
-  options.policy = PathPolicy::kEarlyTerminating;
-  options.init_crashes = 100;
-  options.init_delivery = InitDelivery::kSilent;
-  const FastSimResult result = core::run_fast_sim(options);
-  EXPECT_EQ(result.phases, 1u);
+  const CrashFastSimResult result = run_init_crashes(
+      512, 6, 100, sim::SubsetPolicy::kSilent, /*lowest=*/false);
+  EXPECT_EQ(phases(result), 1u);
 }
 
 TEST(FastSim, PartialInitDeliveryCausesCollisions) {
   // The paper §6: one crasher delivering to every second ball shifts half
   // the ranks, so phase 1 alone cannot finish.
-  FastSimOptions options;
-  options.n = 512;
-  options.seed = 6;
-  options.policy = PathPolicy::kEarlyTerminating;
-  options.init_crashes = 1;
-  options.init_crash_lowest = true;
-  options.init_delivery = InitDelivery::kAlternating;
-  const FastSimResult result = core::run_fast_sim(options);
+  const CrashFastSimResult result = run_init_crashes(
+      512, 6, 1, sim::SubsetPolicy::kAlternating, /*lowest=*/true);
   expect_valid_names(result, 512);
-  EXPECT_GT(result.phases, 1u);
+  EXPECT_GT(phases(result), 1u);
 }
 
 TEST(FastSim, CollisionDepthMatchesAppendixB) {
@@ -189,42 +217,23 @@ TEST(FastSim, CollisionDepthMatchesAppendixB) {
   // depth >= log n - ceil(log f) — i.e. the surviving contention lives in
   // subtrees of size O(f). Check via the phase-1 snapshot: every remaining
   // inner ball sits deep.
-  FastSimOptions options;
-  options.n = 1024;  // log n = 10
-  options.seed = 9;
-  options.policy = PathPolicy::kEarlyTerminating;
-  options.init_crashes = 8;  // ceil(log f) = 3
-  options.init_delivery = InitDelivery::kRandomHalf;
-  const FastSimResult result = core::run_fast_sim(options);
+  const CrashFastSimResult result = run_init_crashes(
+      1024, 9, 8, sim::SubsetPolicy::kRandomHalf,  // log n = 10, log f = 3
+      /*lowest=*/false);
   expect_valid_names(result, 1024);
   // bmax after phase 1 is at most f+1 (at most f rank shifts can pile up).
   ASSERT_FALSE(result.per_phase.empty());
   EXPECT_LE(result.per_phase[0].bmax, 9u);
 }
 
-// ---- Clean crashes ----------------------------------------------------------
-
-TEST(FastSim, CleanCrashesMidRun) {
-  FastSimOptions options;
-  options.n = 256;
-  options.seed = 13;
-  options.clean_crashes = {{.phase = 1, .count = 64}, {.phase = 2, .count = 32}};
-  const FastSimResult result = core::run_fast_sim(options);
-  expect_valid_names(result, 256);
-  std::uint32_t survivors = 0;
-  for (std::uint64_t name : result.names) {
-    survivors += name != 0 ? 1 : 0;
-  }
-  EXPECT_EQ(survivors, 256u - 96u);
-}
-
 TEST(FastSim, RejectsBadOptions) {
-  FastSimOptions options;
-  options.n = 0;
-  EXPECT_THROW((void)core::run_fast_sim(options), ContractViolation);
-  options.n = 4;
-  options.init_crashes = 4;
-  EXPECT_THROW((void)core::run_fast_sim(options), ContractViolation);
+  EXPECT_THROW((void)core::run_fast_sim(FastSimOptions{.n = 0}),
+               ContractViolation);
+  // The crash budget must leave at least one ball (t < n).
+  EXPECT_THROW((void)core::run_fast_sim_crash(
+                   core::CrashFastSimOptions{.n = 4, .max_crashes = 4},
+                   nullptr),
+               ContractViolation);
 }
 
 }  // namespace

@@ -16,10 +16,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/backend.h"
+#include "core/fast_sim_crash.h"
+#include "harness/runner.h"
+#include "sim/engine.h"
+#include "tree/shape.h"
 #include "util/contract.h"
 #include "util/flags.h"
 
@@ -220,6 +226,64 @@ TEST(FastSimCrash, CrashCellsScaleBeyondTheEngine) {
     named += name != 0 ? 1 : 0;
   }
   EXPECT_EQ(named, n - eager_record.crashes);
+}
+
+// ---- Hand-written crash plans: validated and counted as the engine does ----
+
+/// Crashes ball 0 in round 1 (the first candidate-path exchange), its final
+/// broadcast addressed to `deliver_to` verbatim.
+class ScriptedCrash final : public sim::Adversary {
+ public:
+  explicit ScriptedCrash(std::vector<sim::ProcessId> deliver_to)
+      : deliver_to_(std::move(deliver_to)) {}
+
+  void schedule(const sim::RoundView& view, sim::CrashPlan& plan) override {
+    if (view.round() == 1) {
+      plan.crash(0, deliver_to_);
+    }
+  }
+
+ private:
+  std::vector<sim::ProcessId> deliver_to_;
+};
+
+constexpr std::uint32_t kScriptedN = 8;
+constexpr std::uint64_t kScriptedSeed = 3;
+
+core::CrashFastSimResult run_scripted_fast(
+    std::vector<sim::ProcessId> deliver_to) {
+  ScriptedCrash adversary(std::move(deliver_to));
+  return core::run_fast_sim_crash(
+      core::CrashFastSimOptions{.n = kScriptedN,
+                                .seed = kScriptedSeed,
+                                .max_crashes = 1},
+      &adversary);
+}
+
+TEST(FastSimCrash, RejectsOutOfRangeDeliveryRecipient) {
+  EXPECT_THROW((void)run_scripted_fast({1, kScriptedN}), ContractViolation);
+}
+
+TEST(FastSimCrash, DuplicateRecipientIsDeliveredOnce) {
+  // deliver_to is a set: ball 2 listed twice receives one message.
+  const std::vector<sim::ProcessId> deliver_to = {2, 2, 3};
+  harness::RunConfig config;
+  config.n = kScriptedN;
+  config.seed = kScriptedSeed;
+  sim::Engine engine(
+      sim::EngineConfig{.num_processes = kScriptedN, .max_crashes = 1},
+      harness::make_processes(config, tree::TreeShape::make(kScriptedN)),
+      std::make_unique<ScriptedCrash>(deliver_to));
+  const sim::RunResult expected = engine.run();
+  const core::CrashFastSimResult observed = run_scripted_fast(deliver_to);
+  EXPECT_EQ(observed.crashes, 1u);
+  EXPECT_EQ(observed.deliveries, expected.metrics.total_deliveries);
+  ASSERT_EQ(observed.names.size(), expected.outcomes.size());
+  for (std::size_t i = 0; i < expected.outcomes.size(); ++i) {
+    EXPECT_EQ(observed.names[i],
+              expected.outcomes[i].crashed ? 0 : expected.outcomes[i].name)
+        << "ball " << i;
+  }
 }
 
 // ---- Backend routing --------------------------------------------------------

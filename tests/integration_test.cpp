@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/fast_sim.h"
+#include "core/fast_sim_crash.h"
 #include "harness/runner.h"
 #include "sim/adversaries.h"
 #include "stats/binomial.h"
@@ -109,15 +110,23 @@ TEST(Theorem4Shape, RoundsTrackFailuresNotN) {
   const std::uint32_t n = 4096;
   std::vector<std::uint32_t> phases_at_f;
   for (std::uint32_t f : {1u, 16u, 256u, 2048u}) {
-    core::FastSimOptions options;
-    options.n = n;
-    options.seed = 23;
-    options.policy = core::PathPolicy::kEarlyTerminating;
-    options.init_crashes = f;
-    options.init_delivery = core::InitDelivery::kRandomHalf;
-    const auto result = core::run_fast_sim(options);
+    // f random balls crash during the label exchange, each delivering its
+    // label to a random half of the survivors.
+    sim::BurstCrashAdversary adversary(
+        sim::BurstCrashAdversary::Options{
+            .count = f,
+            .when = 0,
+            .subset_policy = sim::SubsetPolicy::kRandomHalf,
+            .lowest_ids = false},
+        23);
+    const auto result = core::run_fast_sim_crash(
+        core::CrashFastSimOptions{.n = n,
+                                  .seed = 23,
+                                  .policy = core::PathPolicy::kEarlyTerminating,
+                                  .max_crashes = f},
+        &adversary);
     ASSERT_TRUE(result.completed);
-    phases_at_f.push_back(result.phases);
+    phases_at_f.push_back((result.rounds - 1) / 2);
   }
   // Few failures -> very few phases; the full-failure case stays sane too.
   EXPECT_LE(phases_at_f[0], 3u);
