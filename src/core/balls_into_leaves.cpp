@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/messages.h"
@@ -39,6 +40,76 @@ LabelIndex<T> index_by_label(std::span<const sim::Envelope> inbox) {
   }
   return by_label;
 }
+
+/// Label → message lookup over one round's crash-only inbox, answering
+/// exactly as index_by_label<T>(inbox) would (first message per label in
+/// sender order). A crash-round inbox that the engine assembled as its
+/// shared plan plus this recipient's few extras (sim::round_index) is not
+/// re-indexed: lookups consult the shared plan's per-round memoized index,
+/// then the extras. The two parts come from disjoint senders, so they answer
+/// alike unless an extra repeats a label of the shared index; which message
+/// comes first in sender order is then not recorded, and the recipient
+/// indexes its whole inbox instead. Any other inbox is one plain index.
+template <typename T>
+class InboxIndex {
+ public:
+  explicit InboxIndex(std::span<const sim::Envelope> inbox) {
+    std::span<const sim::Envelope> extras;
+    index_ = sim::round_index(inbox, scratch_, &index_by_label<T>, &extras);
+    extras_.reserve(extras.size());
+    Message scratch;
+    for (const sim::Envelope& envelope : extras) {
+      const Message* message =
+          sim::decode_cached(envelope, scratch, &decode_message);
+      const T* msg = message == nullptr ? nullptr : std::get_if<T>(message);
+      if (msg == nullptr) {
+        continue;  // malformed or another type, as index_by_label skips
+      }
+      if (shared_has(msg->label)) {
+        scratch_ = index_by_label<T>(inbox);
+        index_ = &scratch_;
+        extras_.clear();
+        return;
+      }
+      if (find_extra(msg->label) == nullptr) {
+        extras_.emplace_back(msg->label, *msg);  // extras are sender-ordered
+      }
+    }
+  }
+  InboxIndex(const InboxIndex&) = delete;
+  InboxIndex& operator=(const InboxIndex&) = delete;
+
+  [[nodiscard]] const T* find(sim::Label label) const {
+    if (const auto it = index_->find(label); it != index_->end()) {
+      return &it->second;
+    }
+    return find_extra(label);
+  }
+
+ private:
+  /// True iff the shared index holds `label`. Walks the label's bucket
+  /// rather than calling find: a second call site of find's instantiation
+  /// keeps GCC at -O2 from inlining it into the per-ball lookup loop.
+  [[nodiscard]] bool shared_has(sim::Label label) const {
+    const std::size_t bucket = index_->bucket(label);
+    return std::any_of(index_->begin(bucket), index_->end(bucket),
+                       [label](const auto& entry) {
+                         return entry.first == label;
+                       });
+  }
+  [[nodiscard]] const T* find_extra(sim::Label label) const {
+    for (const auto& [extra_label, msg] : extras_) {
+      if (extra_label == label) {
+        return &msg;
+      }
+    }
+    return nullptr;
+  }
+
+  LabelIndex<T> scratch_;
+  const LabelIndex<T>* index_ = nullptr;
+  std::vector<std::pair<sim::Label, T>> extras_;
+};
 
 /// A decoded message together with its engine-authenticated sender id —
 /// the input the Byzantine validation layer needs: under wire-level faults
@@ -219,9 +290,21 @@ void BallsIntoLeavesProcess::process_init(
     return labels;
   };
   std::vector<sim::Label> scratch;
-  const std::vector<sim::Label>& labels =
-      *sim::round_index(inbox, scratch, collect_labels);
-  view_.insert_all_at_root(labels);
+  std::span<const sim::Envelope> extras;
+  const std::vector<sim::Label>* labels =
+      sim::round_index(inbox, scratch, collect_labels, &extras);
+  if (!extras.empty()) {
+    // The registry is a set, so the shared labels plus the extras' labels
+    // register exactly what the merged inbox's labels would (a repeated
+    // label is rejected either way). Each envelope carries at most one
+    // label, so one exact reservation holds both.
+    const std::vector<sim::Label> extra_labels = collect_labels(extras);
+    scratch.reserve(labels->size() + extra_labels.size());
+    scratch.assign(labels->begin(), labels->end());
+    scratch.insert(scratch.end(), extra_labels.begin(), extra_labels.end());
+    labels = &scratch;
+  }
+  view_.insert_all_at_root(*labels);
   BIL_ENSURE(view_.contains(options_.label),
              "own init broadcast must loop back");
   phase_ = 1;
@@ -233,21 +316,19 @@ void BallsIntoLeavesProcess::process_round1(
     process_round1_tolerant(inbox);
     return;
   }
-  // In a crash-free round every recipient indexes the identical shared
-  // inbox; round_index builds the map once per round for all of them.
-  LabelIndex<PathMsg> scratch;
-  const LabelIndex<PathMsg>& paths =
-      *sim::round_index(inbox, scratch, &index_by_label<PathMsg>);
+  // Every recipient's lookups share the round's one memoized index of the
+  // shared plan (InboxIndex).
+  const InboxIndex<PathMsg> paths(inbox);
   // Lines 12–20: iterate a snapshot of the balls in <R order; move each ball
   // whose path arrived, remove (at its turn — the interleaving matters, see
   // the class comment) each ball that stayed silent.
   for (const sim::Label ball : movement_order()) {
-    const auto it = paths.find(ball);
-    if (it == paths.end()) {
+    const PathMsg* found = paths.find(ball);
+    if (found == nullptr) {
       view_.remove(ball);
       continue;
     }
-    const PathMsg& path = it->second;
+    const PathMsg& path = *found;
     if (path.start != view_.current(ball)) {
       // A path is always anchored at the sender's phase-start position,
       // which every view that can receive the path agrees on (positions of
@@ -275,17 +356,15 @@ void BallsIntoLeavesProcess::process_round2(
     process_round2_tolerant(inbox);
     return;
   }
-  LabelIndex<PositionMsg> scratch;
-  const LabelIndex<PositionMsg>& positions =
-      *sim::round_index(inbox, scratch, &index_by_label<PositionMsg>);
+  const InboxIndex<PositionMsg> positions(inbox);
   // Lines 23–28, same snapshot-and-iterate structure as round 1.
   for (const sim::Label ball : movement_order()) {
-    const auto it = positions.find(ball);
-    if (it == positions.end()) {
+    const PositionMsg* found = positions.find(ball);
+    if (found == nullptr) {
       view_.remove(ball);
       continue;
     }
-    const PositionMsg& position = it->second;
+    const PositionMsg& position = *found;
     BIL_ENSURE(position.node < shape_->num_nodes(),
                "announced position out of range");
     view_.reposition(ball, position.node);

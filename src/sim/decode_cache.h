@@ -27,6 +27,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <typeindex>
 #include <unordered_map>
@@ -44,19 +45,46 @@ class DecodeCache {
   /// delivery, before any lookup against that round's payloads.
   void begin_round() {
     entries_.clear();
-    shared_data_ = nullptr;
-    shared_count_ = 0;
+    shared_ = {};
+    clear_layered_inbox();
     index_memo_.clear();
   }
 
   /// Registers the round's shared delivery plan — the one span every
-  /// unexceptional alive recipient receives. Only this exact span is
-  /// eligible for plan-level memoization (see get_or_build_shared): spans
-  /// assembled per recipient live in reused arenas whose addresses are not
-  /// stable identities.
-  void set_shared_inbox(const Envelope* data, std::size_t count) {
-    shared_data_ = data;
-    shared_count_ = count;
+  /// unexceptional alive recipient receives. Its indexes are memoized once
+  /// per round (see shared_index).
+  void set_shared_inbox(std::span<const Envelope> shared) { shared_ = shared; }
+
+  /// Records how one recipient's custom inbox was assembled: the registered
+  /// shared plan merged, in sender order, with `extras` — the envelopes of
+  /// the special senders (this round's crashed senders, for a broadcast
+  /// protocol) that reach this recipient, in sender order. A sender is
+  /// shared xor special, so the two parts are disjoint by sender. Both
+  /// spans alias engine arenas that are reused for the next recipient; the
+  /// record covers one on_receive call, and the engine clears it when that
+  /// call returns.
+  void set_layered_inbox(std::span<const Envelope> inbox,
+                         std::span<const Envelope> extras) {
+    layered_ = inbox;
+    extras_ = extras;
+  }
+  void clear_layered_inbox() {
+    layered_ = {};
+    extras_ = {};
+  }
+
+  /// How `inbox` relates to the shared plan: no extras for the shared plan
+  /// itself, the recorded extras for the recorded layered inbox, nullopt
+  /// for any other span (which callers must index in full).
+  [[nodiscard]] std::optional<std::span<const Envelope>> extras_of(
+      std::span<const Envelope> inbox) const {
+    if (inbox.data() == shared_.data() && inbox.size() == shared_.size()) {
+      return std::span<const Envelope>();
+    }
+    if (inbox.data() == layered_.data() && inbox.size() == layered_.size()) {
+      return extras_;
+    }
+    return std::nullopt;
   }
 
   /// Returns the decoded form of `payload`, decoding on first sight and
@@ -79,27 +107,22 @@ class DecodeCache {
   }
 
   /// Memoizes a whole-inbox derived structure (e.g. a label → message
-  /// index) for the round's shared delivery plan. In a crash-free broadcast
+  /// index) of the round's shared delivery plan. In a crash-free broadcast
   /// round every recipient receives the identical span and would build an
   /// identical structure; building it once per round instead of once per
-  /// recipient is the plan-level analogue of decode-once payloads. Returns
-  /// nullptr when `inbox` is not the registered shared span (the caller
-  /// builds fresh). `build` must be a pure function of the span contents —
-  /// the memoized object is then exactly what every recipient would have
-  /// built, so sharing it is observation-equivalent.
+  /// recipient is the plan-level analogue of decode-once payloads. `build`
+  /// must be a pure function of the span contents — the memoized object is
+  /// then exactly what every recipient would have built, so sharing it is
+  /// observation-equivalent.
   template <typename T, typename BuildFn>
-  const T* get_or_build_shared(std::span<const Envelope> inbox,
-                               BuildFn&& build) {
-    if (inbox.data() != shared_data_ || inbox.size() != shared_count_) {
-      return nullptr;
-    }
+  const T* shared_index(BuildFn&& build) {
     const std::type_index key(typeid(T));
     for (const auto& [type, value] : index_memo_) {
       if (type == key) {
         return static_cast<const T*>(value.get());
       }
     }
-    auto built = std::make_shared<const T>(build(inbox));
+    auto built = std::make_shared<const T>(build(shared_));
     const T* out = built.get();
     index_memo_.emplace_back(key, std::move(built));
     return out;
@@ -110,8 +133,11 @@ class DecodeCache {
  private:
   std::unordered_map<const wire::Buffer*, std::shared_ptr<const void>>
       entries_;
-  const Envelope* shared_data_ = nullptr;
-  std::size_t shared_count_ = 0;
+  std::span<const Envelope> shared_;
+  /// The current recipient's layered inbox and its extras (empty outside
+  /// the on_receive call they were recorded for).
+  std::span<const Envelope> layered_;
+  std::span<const Envelope> extras_;
   /// Plan-level memo entries for the shared span, keyed by result type (a
   /// round uses one or two at most — linear scan beats hashing).
   std::vector<std::pair<std::type_index, std::shared_ptr<const void>>>
@@ -137,16 +163,31 @@ const T* decode_cached(const Envelope& envelope, T& scratch,
   return &scratch;
 }
 
-/// Builds (or fetches) a whole-inbox derived structure: memoized once per
-/// round when `inbox` is the engine's shared delivery plan, built into
-/// `scratch` otherwise (custom per-recipient inboxes, engine-less tests).
+/// Builds (or fetches) the whole-inbox derived structure `build(inbox)`.
+/// - `inbox` is the engine's shared delivery plan: memoized once per round.
+/// - `inbox` is a recorded layered inbox (shared plan plus this recipient's
+///   extras, see DecodeCache::set_layered_inbox) and the caller passes
+///   `extras`: returns the shared plan's memoized index and points *extras
+///   at the recipient's extras. The caller must consult both; they are
+///   disjoint by sender, and every extra sender's messages come in sender
+///   order.
+/// - Otherwise (no `extras` out-parameter, custom inboxes of corruption
+///   rounds, engine-less tests): builds into `scratch`, *extras empty.
 template <typename T, typename BuildFn>
 const T* round_index(std::span<const Envelope> inbox, T& scratch,
-                     BuildFn&& build) {
+                     BuildFn&& build,
+                     std::span<const Envelope>* extras = nullptr) {
+  if (extras != nullptr) {
+    *extras = {};
+  }
   DecodeCache* cache = inbox.empty() ? nullptr : inbox.front().cache;
   if (cache != nullptr) {
-    if (const T* shared = cache->get_or_build_shared<T>(inbox, build)) {
-      return shared;
+    const auto layer = cache->extras_of(inbox);
+    if (layer.has_value() && (layer->empty() || extras != nullptr)) {
+      if (extras != nullptr) {
+        *extras = *layer;
+      }
+      return cache->shared_index<T>(build);
     }
   }
   scratch = build(inbox);

@@ -262,8 +262,10 @@ void Engine::deliver_chunk(WorkerState& ws,
     // Merge the shared plan with this recipient's special deliveries.
     // Sender-id order is preserved: a sender is shared xor special, the
     // shared plan is already ascending, and a special sender's messages
-    // keep their outbox order.
+    // keep their outbox order. The special deliveries are also collected,
+    // in the same order, as this recipient's extras.
     ws.custom_inbox.clear();
+    ws.custom_extras.clear();
     std::uint64_t row_bytes = 0;
     std::size_t shared_index = 0;
     for (std::size_t s = 0; s < special_senders_.size(); ++s) {
@@ -304,8 +306,9 @@ void Engine::deliver_chunk(WorkerState& ws,
       }
       for (const OutboundMessage& message : outboxes_[sender].messages()) {
         if (message.broadcast || message.to == receiver) {
-          ws.custom_inbox.push_back(
-              Envelope{sender, message.payload, &ws.cache});
+          const Envelope envelope{sender, message.payload, &ws.cache};
+          ws.custom_inbox.push_back(envelope);
+          ws.custom_extras.push_back(envelope);
           const std::uint64_t size = message.payload->size();
           row_bytes += size;
           ws.max_payload = std::max(ws.max_payload, size);
@@ -319,7 +322,15 @@ void Engine::deliver_chunk(WorkerState& ws,
     }
     ws.deliveries += ws.custom_inbox.size();
     ws.bytes += row_bytes;
+    // Tell the recipient's indexes how this inbox was built, so they reuse
+    // the shared plan's per-round memo and consult only the extras
+    // (sim::round_index). Not in corruption rounds: rewritten payloads are
+    // not the extras collected above, so those inboxes are indexed whole.
+    if (round_rewrites_.empty()) {
+      ws.cache.set_layered_inbox(ws.custom_inbox, ws.custom_extras);
+    }
     receive_guarded(ws, receiver, ws.custom_inbox, round, record_round);
+    ws.cache.clear_layered_inbox();
   }
 }
 
@@ -380,24 +391,23 @@ void Engine::deliver_round(RoundNumber round, RoundNumber record_round) {
     }
   }
 
-  // The shared plan is the only span with a round-stable address; register
-  // it so whole-inbox indexes built by recipients can be memoized once per
-  // round (see DecodeCache::get_or_build_shared). Workers beyond the first
-  // get their own copy of the plan, restamped with their own cache: the
-  // copies are element-wise identical (an envelope's cache only routes
-  // decoding, it never changes the decoded value), so recipients observe
-  // the same inbox regardless of which worker delivers to them, and each
-  // worker memoizes decodes and shared-plan indexes privately — no lookup
-  // ever crosses a thread.
-  workers_[0].cache.set_shared_inbox(shared_inbox_.data(),
-                                     shared_inbox_.size());
+  // Register the shared plan so whole-inbox indexes built by recipients can
+  // be memoized once per round (see DecodeCache::shared_index) — for shared
+  // recipients and for custom ones, whose inbox is the plan plus extras.
+  // Workers beyond the first get their own copy of the plan, restamped with
+  // their own cache: the copies are element-wise identical (an envelope's
+  // cache only routes decoding, it never changes the decoded value), so
+  // recipients observe the same inbox regardless of which worker delivers
+  // to them, and each worker memoizes decodes and shared-plan indexes
+  // privately — no lookup ever crosses a thread.
+  workers_[0].cache.set_shared_inbox(shared_inbox_);
   for (std::size_t w = 1; w < active_workers; ++w) {
     WorkerState& ws = workers_[w];
     ws.shared_inbox.assign(shared_inbox_.begin(), shared_inbox_.end());
     for (Envelope& envelope : ws.shared_inbox) {
       envelope.cache = &ws.cache;
     }
-    ws.cache.set_shared_inbox(ws.shared_inbox.data(), ws.shared_inbox.size());
+    ws.cache.set_shared_inbox(ws.shared_inbox);
   }
 
   if (!special_senders_.empty()) {

@@ -220,6 +220,9 @@ class Engine {
     /// Assembly arena for one custom recipient's inbox, reused across
     /// recipients and rounds.
     std::vector<Envelope> custom_inbox;
+    /// The special-sender part of custom_inbox (the recipient's extras, in
+    /// sender order), recorded in `cache` for the recipient's on_receive.
+    std::vector<Envelope> custom_extras;
     // -- metric shard, folded after the fan-out ----------------------------
     std::uint64_t sends = 0;
     std::uint64_t deliveries = 0;

@@ -1,35 +1,11 @@
 #include "tree/local_view.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/contract.h"
 
 namespace bil::tree {
-
-namespace {
-
-/// Index of the first element in data[0..n) not less than `value` —
-/// std::lower_bound's contract over a flat array, but with a branchless
-/// inner loop (the halving step conditionally advances the base pointer;
-/// compilers emit a conditional move, not a branch). slow_index_of runs
-/// this once per registry lookup in every *gapped* view — the label set of
-/// every view that missed an init-round crash victim's broadcast, i.e.
-/// Θ(n²) lookups per round for the rest of an adversarial run — where a
-/// mispredicting branchy search is pure overhead on top of the arithmetic
-/// slot math.
-[[nodiscard]] std::size_t lower_bound_index(const Label* data, std::size_t n,
-                                            Label value) {
-  const Label* base = data;
-  while (n > 1) {
-    const std::size_t half = n / 2;
-    base += (base[half - 1] < value) ? half : 0;
-    n -= half;
-  }
-  const std::size_t below = (n == 1 && *base < value) ? 1 : 0;
-  return static_cast<std::size_t>(base - data) + below;
-}
-
-}  // namespace
 
 LocalTreeView::LocalTreeView(std::shared_ptr<const TreeShape> shape)
     : shape_(std::move(shape)) {
@@ -38,27 +14,8 @@ LocalTreeView::LocalTreeView(std::shared_ptr<const TreeShape> shape)
 }
 
 std::size_t LocalTreeView::slow_index_of(Label ball) const {
-  // Unit-stride labels with gaps: a view that missed an init-round victim's
-  // broadcast holds 0..n-1 minus a few crashed labels — the shape every
-  // adversarial run produces, and it lasts for the whole run. The slot is
-  // the arithmetic offset minus the number of gaps below `ball`, verified
-  // against the registry (so a gap label itself fails the check and throws).
-  if (dense_stride_ == 1 && !gaps_.empty()) {
-    if (ball >= dense_base_) {
-      const Label offset = ball - dense_base_;
-      if (offset < labels_.size() + gaps_.size()) {
-        const std::size_t gaps_below =
-            lower_bound_index(gaps_.data(), gaps_.size(), ball);
-        const auto slot = static_cast<std::size_t>(offset) - gaps_below;
-        if (slot < labels_.size() && labels_[slot] == ball) {
-          return slot;
-        }
-      }
-    }
-    BIL_REQUIRE(false, "ball " + std::to_string(ball) + " is not registered");
-  }
-  // General arithmetic label sets (stride > 1) resolve in O(1); unit-stride
-  // gapless labels only reach here to fail (the inlined fast path already
+  // Arithmetic label sets (stride > 1) resolve in O(1); unit-stride ones —
+  // holes included — only reach here to fail (the inlined fast path already
   // covered the hits).
   if (dense_stride_ != 0) {
     if (ball >= dense_base_) {
@@ -72,52 +29,10 @@ std::size_t LocalTreeView::slow_index_of(Label ball) const {
     }
     BIL_REQUIRE(false, "ball " + std::to_string(ball) + " is not registered");
   }
-  const std::size_t slot =
-      lower_bound_index(labels_.data(), labels_.size(), ball);
-  BIL_REQUIRE(slot < labels_.size() && labels_[slot] == ball,
+  const auto it = std::lower_bound(labels_.begin(), labels_.end(), ball);
+  BIL_REQUIRE(it != labels_.end() && *it == ball,
               "ball " + std::to_string(ball) + " is not registered");
-  return slot;
-}
-
-void LocalTreeView::recompute_density() {
-  // labels_ is sorted and distinct; detect a constant stride — or unit
-  // stride with a bounded number of holes — so index_of can use arithmetic
-  // instead of binary search. Differences are compared pairwise, so no
-  // overflow-prone base + slot·stride is ever formed.
-  dense_stride_ = 0;
-  dense_base_ = labels_.empty() ? 0 : labels_[0];
-  gaps_.clear();
-  if (labels_.size() <= 1) {
-    dense_stride_ = 1;
-    return;
-  }
-  const Label stride = labels_[1] - labels_[0];
-  std::size_t first_break = labels_.size();
-  for (std::size_t slot = 2; slot < labels_.size(); ++slot) {
-    if (labels_[slot] - labels_[slot - 1] != stride) {
-      first_break = slot;
-      break;
-    }
-  }
-  if (first_break == labels_.size()) {
-    dense_stride_ = stride;
-    return;
-  }
-  // Not an arithmetic sequence. Try unit stride with holes (bounded so a
-  // genuinely sparse namespace cannot blow up the gap list; each hole costs
-  // one extra lower_bound step over at most kMaxGaps entries).
-  constexpr std::size_t kMaxGaps = 4096;
-  const Label span_end = labels_.back();
-  if (span_end - dense_base_ + 1 - labels_.size() > kMaxGaps) {
-    return;  // irregular labels: index_of falls back to binary search
-  }
-  for (std::size_t slot = 1; slot < labels_.size(); ++slot) {
-    for (Label missing = labels_[slot - 1] + 1; missing < labels_[slot];
-         ++missing) {
-      gaps_.push_back(missing);
-    }
-  }
-  dense_stride_ = 1;
+  return static_cast<std::size_t>(it - labels_.begin());
 }
 
 void LocalTreeView::add_contribution(NodeId node, std::int32_t delta) {
@@ -139,24 +54,48 @@ void LocalTreeView::insert_all_at_root(std::span<const Label> balls) {
   BIL_REQUIRE(std::adjacent_find(labels_.begin(), labels_.end()) ==
                   labels_.end(),
               "ball labels must be distinct");
-  node_of_.assign(labels_.size(), TreeShape::root());
+  const std::size_t count = labels_.size();
   subtree_count_.assign(shape_->num_nodes(), 0);
-  subtree_count_[TreeShape::root()] =
-      static_cast<std::uint32_t>(labels_.size());
-  alive_count_ = static_cast<std::uint32_t>(labels_.size());
-  recompute_density();
-}
+  subtree_count_[TreeShape::root()] = static_cast<std::uint32_t>(count);
+  alive_count_ = static_cast<std::uint32_t>(count);
 
-void LocalTreeView::insert_at_root(Label ball) {
-  const auto it = std::lower_bound(labels_.begin(), labels_.end(), ball);
-  BIL_REQUIRE(it == labels_.end() || *it != ball,
-              "ball " + std::to_string(ball) + " already registered");
-  const auto slot = it - labels_.begin();
-  labels_.insert(it, ball);
-  node_of_.insert(node_of_.begin() + slot, TreeShape::root());
-  add_contribution(TreeShape::root(), +1);
-  ++alive_count_;
-  recompute_density();
+  // Detect a constant stride so index_of can use arithmetic instead of
+  // binary search. Differences are compared pairwise, so no overflow-prone
+  // base + slot·stride is ever formed.
+  dense_base_ = count == 0 ? 0 : labels_.front();
+  dense_stride_ = count <= 1 ? 1 : labels_[1] - labels_[0];
+  for (std::size_t slot = 2; slot < count; ++slot) {
+    if (labels_[slot] - labels_[slot - 1] != dense_stride_) {
+      dense_stride_ = 0;
+      break;
+    }
+  }
+  if (dense_stride_ != 0) {
+    node_of_.assign(count, TreeShape::root());
+    return;
+  }
+  // Not an arithmetic sequence. A unit-stride span with holes — every view
+  // that missed an init-round crash victim's broadcast, for the rest of the
+  // run — gets one slot per label of the span, each hole a slot tombstoned
+  // from the start, so index_of stays arithmetic. Only while the holes are
+  // no more than the labels present (the registry at most doubles); sparser
+  // label sets fall back to binary search. The hole count is formed from
+  // differences of sorted distinct labels, so it cannot overflow.
+  const Label holes = (labels_.back() - dense_base_) - (count - 1);
+  if (holes > count) {
+    node_of_.assign(count, TreeShape::root());
+    return;
+  }
+  node_of_.assign(count + static_cast<std::size_t>(holes), kNoNode);
+  for (const Label label : labels_) {
+    node_of_[static_cast<std::size_t>(label - dense_base_)] =
+        TreeShape::root();
+  }
+  // assign, not resize: resize would double the capacity of every view
+  // that missed a victim.
+  labels_.assign(node_of_.size(), 0);
+  std::iota(labels_.begin(), labels_.end(), dense_base_);
+  dense_stride_ = 1;
 }
 
 void LocalTreeView::remove(Label ball) {

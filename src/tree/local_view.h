@@ -41,10 +41,6 @@ class LocalTreeView {
   /// previous registry contents.
   void insert_all_at_root(std::span<const Label> labels);
 
-  /// Registers one ball at the root. O(registry size); prefer the batch
-  /// form on the hot path.
-  void insert_at_root(Label ball);
-
   /// Removes a ball (Algorithm 1 lines 20 / 27: the ball has crashed).
   void remove(Label ball);
 
@@ -144,7 +140,7 @@ class LocalTreeView {
   /// labelling — must stay a handful of inlined instructions; everything
   /// else takes the cold path.
   [[nodiscard]] std::size_t index_of(Label ball) const {
-    if (dense_stride_ == 1 && gaps_.empty() && ball >= dense_base_) {
+    if (dense_stride_ == 1 && ball >= dense_base_) {
       const Label slot = ball - dense_base_;
       if (slot < labels_.size()) {
         return static_cast<std::size_t>(slot);
@@ -154,27 +150,24 @@ class LocalTreeView {
   }
   [[nodiscard]] std::size_t slow_index_of(Label ball) const;
   void add_contribution(NodeId node, std::int32_t delta);
-  void recompute_density();
 
   std::shared_ptr<const TreeShape> shape_;
   /// Balls in every subtree, indexed by NodeId.
   std::vector<std::uint32_t> subtree_count_;
-  /// Sorted distinct labels ever inserted (tombstoned on removal).
+  /// Sorted distinct registry labels, one per slot. A unit-stride label set
+  /// with holes — the label set of every view that missed an init-round
+  /// crash victim's broadcast — is stored dense, each hole a slot that is
+  /// tombstoned from the start (see insert_all_at_root).
   std::vector<Label> labels_;
-  /// Position per registry slot; kNoNode marks a removed ball.
+  /// Position per registry slot; kNoNode marks a removed ball or a hole.
   std::vector<NodeId> node_of_;
   std::uint32_t alive_count_ = 0;
   /// When labels_ form an arithmetic sequence (the harness's
-  /// offset + stride·id labelling), index_of is O(1) arithmetic:
-  /// slot = (ball - dense_base_) / dense_stride_. dense_stride_ == 0 marks
-  /// irregular labels (binary-search fallback). dense_stride_ == 1 with a
-  /// non-empty gaps_ marks a unit-stride set with holes — the label set of
-  /// every view that missed an init-round crash victim's broadcast — where
-  /// the slot is the offset minus the gaps below (see slow_index_of).
+  /// offset + stride·id labelling, at unit stride also with holes), index_of
+  /// is O(1) arithmetic: slot = (ball - dense_base_) / dense_stride_.
+  /// dense_stride_ == 0 marks irregular labels (binary-search fallback).
   Label dense_base_ = 0;
   Label dense_stride_ = 0;
-  /// Missing labels inside [dense_base_, labels_.back()], ascending.
-  std::vector<Label> gaps_;
   /// ordered_balls scratch, reused across calls (mutable: the order is a
   /// pure function of the registry, rebuilding it does not change
   /// observable view state). bucket scratch holds one counting-sort cursor

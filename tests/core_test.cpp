@@ -3,6 +3,7 @@
 // protocol's phase structure.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <limits>
 #include <memory>
 #include <set>
@@ -13,6 +14,7 @@
 #include "core/policy.h"
 #include "core/seeds.h"
 #include "harness/runner.h"
+#include "sim/decode_cache.h"
 #include "sim/engine.h"
 #include "tree/shape.h"
 #include "util/rng.h"
@@ -301,6 +303,182 @@ TEST(Policy, RankAmongNodeMates) {
 }
 
 // ---- Phase instrumentation --------------------------------------------------
+
+// ---- Crash-round inboxes: shared plan plus extras ---------------------------
+
+/// Payloads with stable addresses for hand-assembled inboxes.
+class Payloads {
+ public:
+  const wire::Buffer* add(const core::Message& message) {
+    buffers_.push_back(core::encode_message(message));
+    return &buffers_.back();
+  }
+  const wire::Buffer* garbage() {
+    buffers_.push_back(wire::Buffer{std::byte{99}});
+    return &buffers_.back();
+  }
+
+ private:
+  std::deque<wire::Buffer> buffers_;
+};
+
+/// One delivered message; `extra` marks a special sender's (a sender that
+/// crashed this round and reached this recipient).
+struct Sent {
+  sim::ProcessId from = 0;
+  const wire::Buffer* payload = nullptr;
+  bool extra = false;
+};
+
+TEST(RoundIndex, LayeredInboxReusesTheSharedPlanMemo) {
+  Payloads payloads;
+  sim::DecodeCache cache;
+  cache.begin_round();
+  std::vector<sim::Envelope> merged;
+  for (sim::ProcessId from = 0; from < 4; ++from) {
+    merged.push_back(
+        sim::Envelope{from, payloads.add(core::InitMsg{from}), &cache});
+  }
+  const std::vector<sim::Envelope> shared{merged[0], merged[1], merged[3]};
+  const std::vector<sim::Envelope> extras{merged[2]};
+  cache.set_shared_inbox(shared);
+  int builds = 0;
+  const auto build = [&builds](std::span<const sim::Envelope> inbox) {
+    ++builds;
+    return inbox.size();
+  };
+  std::size_t scratch = 0;
+  std::span<const sim::Envelope> got;
+
+  EXPECT_EQ(*sim::round_index(std::span(shared), scratch, build), 3u);
+  EXPECT_EQ(builds, 1);
+  cache.set_layered_inbox(merged, extras);
+  EXPECT_EQ(*sim::round_index(std::span(merged), scratch, build, &got), 3u);
+  EXPECT_EQ(builds, 1);  // the shared plan's memo, not a rebuild
+  EXPECT_EQ(got.data(), extras.data());
+  EXPECT_EQ(got.size(), 1u);
+  // Without the extras out-parameter the layered inbox is indexed whole.
+  EXPECT_EQ(*sim::round_index(std::span(merged), scratch, build), 4u);
+  EXPECT_EQ(builds, 2);
+  cache.clear_layered_inbox();
+  EXPECT_EQ(*sim::round_index(std::span(merged), scratch, build, &got), 4u);
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(builds, 3);
+}
+
+/// Delivers one round to `layered` as the engine would in a crash round —
+/// through a DecodeCache whose shared plan another recipient has already
+/// indexed, with the inbox recorded as that plan plus `extra` senders —
+/// and the same merged inbox to `whole` with no cache at all.
+void deliver_twice(sim::RoundNumber round, const std::vector<Sent>& inbox,
+                   BallsIntoLeavesProcess& layered,
+                   BallsIntoLeavesProcess& whole) {
+  sim::Outbox outbox;
+  layered.on_send(round, outbox);
+  outbox.clear();
+  whole.on_send(round, outbox);
+
+  sim::DecodeCache cache;
+  cache.begin_round();
+  std::vector<sim::Envelope> shared;
+  std::vector<sim::Envelope> extras;
+  std::vector<sim::Envelope> merged;
+  std::vector<sim::Envelope> plain;
+  for (const Sent& sent : inbox) {
+    const sim::Envelope envelope{sent.from, sent.payload, &cache};
+    (sent.extra ? extras : shared).push_back(envelope);
+    merged.push_back(envelope);
+    plain.push_back(sim::Envelope{sent.from, sent.payload, nullptr});
+  }
+  cache.set_shared_inbox(shared);
+  core::BallsIntoLeavesProcess shared_recipient(
+      BallsIntoLeavesProcess::Options{.num_names = 8, .label = 1});
+  if (round == 0) {
+    shared_recipient.on_receive(round, shared);  // builds the plan's memo
+  }
+  cache.set_layered_inbox(merged, extras);
+  layered.on_receive(round, merged);
+  cache.clear_layered_inbox();
+  whole.on_receive(round, plain);
+}
+
+/// Init, path and position rounds in which senders 3, 5, 6 and 7 crash
+/// with partial delivery. With `collide`, extras also repeat labels the
+/// shared plan carries — from a lower sender (label 7, whose extra must
+/// win) and from a higher one (labels 1 and 0, whose shared message must
+/// win) — plus a malformed extra payload. In both variants two extras
+/// carry label 6, which the shared plan lacks: the lower sender's wins.
+void expect_layered_matches_whole(bool collide) {
+  const auto shape = tree::TreeShape::make(8);
+  const tree::NodeId root = tree::TreeShape::root();
+  Payloads p;
+  const auto path = [&](sim::Label label, std::uint32_t leaf) {
+    return p.add(core::PathMsg{label, root, shape->leaf_at(leaf)});
+  };
+  const auto position = [&](sim::Label label, tree::NodeId node) {
+    return p.add(core::PositionMsg{label, node});
+  };
+  std::vector<Sent> init;
+  for (sim::ProcessId from = 0; from < 8; ++from) {
+    if (from != 5) {  // 5 reaches nobody here: a hole in the label set
+      init.push_back(Sent{from, p.add(core::InitMsg{from}), from == 3});
+    }
+  }
+  std::vector<Sent> paths;
+  for (sim::ProcessId from : {0u, 1u, 2u}) {
+    paths.push_back(Sent{from, path(from, from)});
+  }
+  paths.push_back(Sent{3, path(3, 3), true});
+  paths.push_back(Sent{3, path(6, 2), true});
+  if (collide) {
+    paths.push_back(Sent{3, path(7, 0), true});
+    paths.push_back(Sent{3, p.garbage(), true});
+  }
+  paths.push_back(Sent{4, path(4, 4)});
+  paths.push_back(Sent{6, path(6, 6), true});
+  if (collide) {
+    paths.push_back(Sent{6, path(1, 5), true});
+  }
+  paths.push_back(Sent{7, path(7, 7)});
+  std::vector<Sent> positions;
+  for (sim::ProcessId from : {0u, 1u, 2u, 4u}) {
+    positions.push_back(Sent{from, position(from, shape->leaf_at(from))});
+  }
+  positions.push_back(Sent{7, position(7, shape->leaf_at(7)), true});
+  if (collide) {
+    positions.push_back(Sent{7, position(0, root), true});
+  }
+
+  for (const sim::Label me : {0u, 2u, 4u}) {
+    const BallsIntoLeavesProcess::Options options{
+        .num_names = 8, .label = me, .seed = 40 + me, .shape = shape};
+    BallsIntoLeavesProcess layered(options);
+    BallsIntoLeavesProcess whole(options);
+    sim::RoundNumber round = 0;
+    for (const std::vector<Sent>* inbox : {&init, &paths, &positions}) {
+      deliver_twice(round, *inbox, layered, whole);
+      const std::vector<sim::Label> balls = whole.view().balls();
+      ASSERT_EQ(layered.view().balls(), balls) << "round " << round;
+      for (const sim::Label ball : balls) {
+        EXPECT_EQ(layered.view().current(ball), whole.view().current(ball))
+            << "round " << round << " ball " << ball;
+      }
+      ++round;
+    }
+    // Silent balls 3 and 6 are gone; 5 never arrived. Ball 0 took its own
+    // (shared, lower-sender) position, not sender 7's extra claim.
+    EXPECT_EQ(whole.view().balls(), (std::vector<sim::Label>{0, 1, 2, 4, 7}));
+    EXPECT_EQ(whole.view().current(0), shape->leaf_at(0));
+  }
+}
+
+TEST(RoundIndex, LayeredInboxMatchesWholeInbox) {
+  expect_layered_matches_whole(false);
+}
+
+TEST(RoundIndex, LabelCollisionFallsBackInSenderOrder) {
+  expect_layered_matches_whole(true);
+}
 
 TEST(Observer, SnapshotsCoverEveryPhase) {
   harness::RunConfig config;

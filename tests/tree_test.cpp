@@ -2,7 +2,9 @@
 // LocalTreeView's capacity accounting, <R ordering, and clipped descent.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "tree/local_view.h"
@@ -149,9 +151,7 @@ TEST(View, DuplicateLabelsRejected) {
 
 TEST(View, SingleInsertAndRemove) {
   LocalTreeView view(shape8());
-  view.insert_at_root(3);
-  view.insert_at_root(1);
-  EXPECT_THROW(view.insert_at_root(3), ContractViolation);
+  view.insert_all_at_root(std::vector<sim::Label>{3, 1});
   EXPECT_EQ(view.ball_count(), 2u);
   view.remove(3);
   EXPECT_FALSE(view.contains(3));
@@ -159,6 +159,87 @@ TEST(View, SingleInsertAndRemove) {
   EXPECT_THROW(view.remove(3), ContractViolation);
   EXPECT_THROW((void)view.current(3), ContractViolation);
   view.check_capacity_invariant();
+}
+
+// A unit-stride label set with holes: what every view that missed an
+// init-round crash victim's broadcast registers. Holes must behave exactly
+// like labels that were never sent.
+const std::vector<sim::Label> kHoled{7, 0, 3, 1, 4};  // holes 2, 5, 6
+
+TEST(View, HolesAreNotRegistered) {
+  auto shape = shape8();
+  LocalTreeView view(shape);
+  view.insert_all_at_root(kHoled);
+  for (const sim::Label hole : {2u, 5u, 6u, 8u}) {
+    EXPECT_FALSE(view.contains(hole)) << hole;
+    EXPECT_THROW((void)view.current(hole), ContractViolation) << hole;
+    EXPECT_THROW(view.remove(hole), ContractViolation) << hole;
+    EXPECT_THROW(view.reposition(hole, shape->leaf_at(0)), ContractViolation)
+        << hole;
+    EXPECT_THROW((void)view.descend_toward(hole, shape->leaf_at(0)),
+                 ContractViolation)
+        << hole;
+  }
+  const std::vector<sim::Label> present{0, 1, 3, 4, 7};
+  for (const sim::Label ball : present) {
+    EXPECT_TRUE(view.contains(ball)) << ball;
+    EXPECT_EQ(view.current(ball), TreeShape::root()) << ball;
+  }
+  EXPECT_EQ(view.ball_count(), 5u);
+  EXPECT_EQ(view.balls(), present);
+  const std::span<const sim::Label> order = view.ordered_balls();
+  EXPECT_EQ(std::vector<sim::Label>(order.begin(), order.end()), present);
+  EXPECT_EQ(view.balls_at(TreeShape::root()), 5u);
+  view.check_capacity_invariant();
+}
+
+TEST(View, HolesStayOutUnderChurn) {
+  auto shape = shape8();
+  LocalTreeView view(shape);
+  view.insert_all_at_root(kHoled);
+  EXPECT_EQ(view.descend_toward(7, shape->leaf_at(7)), shape->leaf_at(7));
+  view.reposition(3, shape->left(TreeShape::root()));
+  view.remove(1);
+  view.check_capacity_invariant();
+  EXPECT_EQ(view.balls(), (std::vector<sim::Label>{0, 3, 4, 7}));
+  const std::span<const sim::Label> order = view.ordered_balls();
+  EXPECT_EQ(std::vector<sim::Label>(order.begin(), order.end()),
+            (std::vector<sim::Label>{7, 3, 0, 4}));
+  view.reposition(7, TreeShape::root());
+  view.remove(0);
+  view.remove(4);
+  EXPECT_EQ(view.ball_count(), 2u);
+  EXPECT_EQ(view.balls(), (std::vector<sim::Label>{3, 7}));
+  EXPECT_FALSE(view.contains(2));
+  EXPECT_THROW(view.remove(1), ContractViolation);
+  EXPECT_THROW(view.reposition(5, TreeShape::root()), ContractViolation);
+  view.check_capacity_invariant();
+}
+
+TEST(View, SparseAndTopOfRangeLabelSets) {
+  // More holes than labels (the binary-search registry, which must not grow
+  // with the span), and label sets at the top of the label range, where
+  // span arithmetic could overflow: lookups still resolve, holes stay out.
+  const sim::Label top = std::numeric_limits<sim::Label>::max();
+  for (const std::vector<sim::Label>& labels :
+       {std::vector<sim::Label>{0, 1, 5, 100},
+        std::vector<sim::Label>{0, 1, top},
+        std::vector<sim::Label>{0, top - 1, top},
+        std::vector<sim::Label>{top - 5, top - 4, top}}) {
+    LocalTreeView view(shape8());
+    view.insert_all_at_root(labels);
+    EXPECT_EQ(view.ball_count(), labels.size());
+    EXPECT_EQ(view.balls(), labels);
+    for (const sim::Label ball : labels) {
+      EXPECT_EQ(view.current(ball), TreeShape::root()) << ball;
+    }
+    EXPECT_FALSE(view.contains(2));
+    EXPECT_FALSE(view.contains(top - 2));
+    EXPECT_THROW((void)view.current(2), ContractViolation);
+    view.remove(labels.back());
+    EXPECT_FALSE(view.contains(labels.back()));
+    view.check_capacity_invariant();
+  }
 }
 
 TEST(View, RemainingCapacityTracksMoves) {
