@@ -1,7 +1,6 @@
 #include "core/fast_sim_crash.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -207,71 +206,146 @@ class CrashFastSim {
   }
 
   /// Odd rounds: candidate-path exchange and <R-ordered capacity-clipped
-  /// movement. Crash-subset delivery partitions the alive balls into
-  /// delivery classes; each realized class's movement is simulated
-  /// separately, and each ball's canonical position becomes its own class's
-  /// outcome (what it would announce — and every view adopt — next round).
+  /// movement. Crash-subset delivery makes inboxes differ only in which of
+  /// this round's victims' paths they hold, and a ball's descent reads only
+  /// the view state built by the balls before it in <R order (Definition 1;
+  /// the Proposition 1 argument). So a survivor's outcome is fixed by its
+  /// *effective prefix*: which of the victims ahead of it in <R order it
+  /// received. The victims cut the <R order into segments; the prefixes
+  /// the survivors carry form a binary trie, one level per victim. One
+  /// depth-first walk over that trie, in place on the canonical view,
+  /// simulates each segment once per trie node at its depth, records the
+  /// positions of the survivors whose prefix ends there, and undoes its
+  /// moves on the way back. Each ball's canonical position becomes the
+  /// outcome under its own inbox (what it would announce — and every view
+  /// adopt — next round).
   void process_path_round(const sim::CrashPlan& plan) {
     const std::span<const sim::CrashPlan::Crash> crashes = plan.crashes();
+    // The canonical view still holds this round's victims at their
+    // phase-start positions, which is where every inbox's movement pass
+    // starts from; this <R order serves every branch of the walk.
+    const std::span<const sim::Label> order = view_.ordered_balls();
     if (crashes.empty()) {
-      // Single class, no victims: move in place.
-      for (const sim::Label label : view_.ordered_balls()) {
+      // No victims: one segment, one trie node — move in place.
+      for (const sim::Label label : order) {
         view_.descend_toward(
             label, targets_[static_cast<std::uint32_t>(label)]);
       }
       return;
     }
 
-    // Delivery class of ball b = the ascending list of this round's victim
-    // indices whose final path broadcast b received. (Grouping is by exact
-    // key, never by hash: two balls share a movement simulation iff their
-    // inboxes are identical.)
-    std::vector<std::vector<std::uint32_t>> received(options_.n);
+    victim_index_.resize(options_.n);  // first crash round only
     for (std::uint32_t v = 0; v < crashes.size(); ++v) {
-      for (const sim::ProcessId recipient : reached_[v]) {
-        received[recipient].push_back(v);
+      victim_index_[crashes[v].victim] = v;
+    }
+    cuts_.clear();
+    carriers_.clear();
+    start_.resize(order.size());
+    for (std::uint32_t pos = 0; pos < order.size(); ++pos) {
+      const auto id = static_cast<std::uint32_t>(order[pos]);
+      start_[pos] = view_.current(id);
+      if (status_[id] == Status::kCrashed) {
+        cuts_.push_back(Cut{pos, id, victim_index_[id]});
+      } else {
+        carriers_.push_back(pos);
       }
     }
-    std::map<std::vector<std::uint32_t>, std::vector<sim::ProcessId>> classes;
-    for (const sim::ProcessId id : alive_) {
-      if (status_[id] == Status::kAlive) {
-        classes[std::move(received[id])].push_back(id);
-      }
-    }
+    BIL_ENSURE(cuts_.size() == crashes.size(),
+               "every victim must sit in the movement order");
 
-    for (const auto& [key, members] : classes) {
-      // The canonical view still holds this round's victims at their
-      // phase-start positions — exactly what every inbox's movement
-      // simulation starts from. Victims whose path is in the class's inbox
-      // descend; the others are removed at their <R turn (the
-      // load-bearing interleaving of Algorithm 1, lines 12–20).
-      tree::LocalTreeView sim_view = view_;
-      for (const sim::Label label : sim_view.ordered_balls()) {
-        const auto id = static_cast<std::uint32_t>(label);
-        if (status_[id] == Status::kCrashed) {
-          const std::uint32_t victim_index = victim_index_of(crashes, id);
-          if (!std::binary_search(key.begin(), key.end(), victim_index)) {
-            sim_view.remove(label);
-            continue;
+    // Segment j: the <R positions between victim j−1 and victim j. Walking
+    // trie node (depth j, carriers_[lo, hi)) simulates segment j — only up
+    // to its last carrier at a trie leaf, where nothing later is read —
+    // and records the carriers that end there, then stably partitions the
+    // rest by whether they received victim j. Carriers stay in <R order
+    // within every range, so those ending at depth j are a range prefix.
+    const auto segment_begin = [&](std::uint32_t depth) {
+      return depth == 0 ? 0 : cuts_[depth - 1].pos + 1;
+    };
+    const auto enter = [&](std::uint32_t depth, std::uint32_t lo,
+                           std::uint32_t hi) {
+      const std::uint32_t segment_end =
+          depth < cuts_.size() ? cuts_[depth].pos
+                               : static_cast<std::uint32_t>(order.size());
+      std::uint32_t rest = lo;
+      while (rest < hi && carriers_[rest] < segment_end) {
+        ++rest;
+      }
+      const std::uint32_t end = rest < hi ? segment_end : carriers_[hi - 1] + 1;
+      for (std::uint32_t pos = segment_begin(depth); pos < end; ++pos) {
+        view_.descend_toward(order[pos],
+                             targets_[static_cast<std::uint32_t>(order[pos])]);
+      }
+      for (std::uint32_t i = lo; i < rest; ++i) {
+        const auto id = static_cast<std::uint32_t>(order[carriers_[i]]);
+        new_pos_[id] = view_.current(id);
+      }
+      std::uint32_t mid = rest;
+      if (rest < hi) {
+        const std::vector<sim::ProcessId>& reached =
+            reached_[cuts_[depth].crash_index];
+        missed_.clear();
+        for (std::uint32_t i = rest; i < hi; ++i) {
+          const auto id = static_cast<sim::ProcessId>(order[carriers_[i]]);
+          if (std::binary_search(reached.begin(), reached.end(), id)) {
+            carriers_[mid++] = carriers_[i];
+          } else {
+            missed_.push_back(carriers_[i]);
           }
         }
-        sim_view.descend_toward(label, targets_[id]);
+        std::copy(missed_.begin(), missed_.end(), carriers_.begin() + mid);
       }
-      for (const sim::ProcessId id : members) {
-        new_pos_[id] = sim_view.current(id);
+      walk_.push_back(Frame{depth, rest, mid, hi, end, 0});
+    };
+
+    // Explicit stack: a burst can put thousands of victims in one round.
+    // A frame's children are [lo, mid) — victim `depth` received, so it
+    // descends — and [mid, hi) — missed, so it is removed at its turn (the
+    // load-bearing interleaving of Algorithm 1, lines 12–20).
+    if (!carriers_.empty()) {
+      enter(0, 0, static_cast<std::uint32_t>(carriers_.size()));
+    }
+    while (!walk_.empty()) {
+      Frame& frame = walk_.back();
+      const std::uint32_t depth = frame.depth;
+      if (frame.stage == 0) {
+        frame.stage = 1;
+        if (frame.lo < frame.mid) {
+          const Cut& cut = cuts_[depth];
+          view_.descend_toward(cut.victim, targets_[cut.victim]);
+          enter(depth + 1, frame.lo, frame.mid);
+          continue;
+        }
       }
+      if (frame.stage == 1) {
+        frame.stage = 2;
+        if (frame.lo < frame.mid) {
+          view_.undo_descend(cuts_[depth].victim, start_[cuts_[depth].pos]);
+        }
+        if (frame.mid < frame.hi) {
+          view_.remove(cuts_[depth].victim);
+          enter(depth + 1, frame.mid, frame.hi);
+          continue;
+        }
+      }
+      if (frame.mid < frame.hi) {
+        view_.restore(cuts_[depth].victim, start_[cuts_[depth].pos]);
+      }
+      for (std::uint32_t pos = segment_begin(depth); pos < frame.end; ++pos) {
+        view_.undo_descend(order[pos], start_[pos]);
+      }
+      walk_.pop_back();
     }
 
-    // Fold the per-class outcomes back into the canonical view: victims
-    // leave every view by the end of the next round without further
-    // effect, survivors land at their own class's position.
+    // Fold the outcomes back into the canonical view: victims leave every
+    // view by the end of the next round without further effect, survivors
+    // land at the position their own inbox gave them.
     for (const sim::CrashPlan::Crash& crash : crashes) {
       view_.remove(crash.victim);
     }
-    for (const auto& [key, members] : classes) {
-      for (const sim::ProcessId id : members) {
-        view_.reposition(id, new_pos_[id]);
-      }
+    for (const std::uint32_t pos : carriers_) {
+      const sim::Label label = order[pos];
+      view_.reposition(label, new_pos_[static_cast<std::uint32_t>(label)]);
     }
   }
 
@@ -410,17 +484,6 @@ class CrashFastSim {
     }
   }
 
-  [[nodiscard]] static std::uint32_t victim_index_of(
-      std::span<const sim::CrashPlan::Crash> crashes, std::uint32_t victim) {
-    for (std::uint32_t v = 0; v < crashes.size(); ++v) {
-      if (crashes[v].victim == victim) {
-        return v;
-      }
-    }
-    BIL_ENSURE(false, "crashed ball is not among this round's victims");
-    return 0;
-  }
-
   CrashFastSimOptions options_;
   sim::Adversary* adversary_;
   AdversaryViewOracle* oracle_;
@@ -442,6 +505,29 @@ class CrashFastSim {
   std::vector<std::uint32_t> mates_of_;
   std::vector<std::uint32_t> mates_at_;
   std::vector<tree::NodeId> extras_;
+  /// Path-round walk state (see process_path_round). victim_index_ maps a
+  /// victim id to its crash-plan index, read for this round's victims only;
+  /// start_ holds each <R position's phase-start node; carriers_ the
+  /// survivors' <R positions, partitioned in place into trie-node ranges.
+  struct Cut {
+    std::uint32_t pos;          // the victim's <R position
+    sim::Label victim;
+    std::uint32_t crash_index;  // into reached_
+  };
+  struct Frame {
+    std::uint32_t depth;  // victims decided on the way here
+    std::uint32_t lo;     // [lo, mid): carriers that received victim depth
+    std::uint32_t mid;    // [mid, hi): carriers that missed it
+    std::uint32_t hi;
+    std::uint32_t end;    // one past the last <R position simulated here
+    std::uint8_t stage;   // children visited so far
+  };
+  std::vector<std::uint32_t> victim_index_;
+  std::vector<tree::NodeId> start_;
+  std::vector<Cut> cuts_;
+  std::vector<std::uint32_t> carriers_;
+  std::vector<std::uint32_t> missed_;
+  std::vector<Frame> walk_;
   std::vector<PhaseSnapshot> per_phase_;
   std::vector<std::uint64_t> names_;
   std::uint32_t alive_count_ = 0;

@@ -14,11 +14,13 @@
 //      capacity-clipped descent, non-recipients remove it at its <R turn.
 //      The next position round removes it from every view (silent), and
 //      position processing has no capacity interactions — so the crash's
-//      entire effect is captured by partitioning the alive balls into
-//      *delivery classes* (which victims' paths they received) and running
-//      one movement simulation per realized class. Every ball's announced
-//      position — which round 2 makes canonical everywhere — is its own
-//      class's outcome.
+//      entire effect is captured by which victims' paths each alive ball
+//      received. A ball's descent reads only the state built by the balls
+//      before it in <R order, so only the victims ahead of it matter: its
+//      *effective prefix*. Every ball's announced position — which round 2
+//      makes canonical everywhere — is the movement pass's outcome under
+//      its own inbox, and balls that share an effective prefix share that
+//      pass up to their turn.
 //   2. A victim crashed during the **init round or a position round**
 //      persists one extra round as a *ghost*: a stale entry present only in
 //      the views that received its final broadcast. A ghost influences
@@ -44,14 +46,21 @@
 // names and delivery counts — for every tree algorithm × oblivious
 // adversary × subset policy on a shared grid.
 //
-// Cost: O(n log n) per phase plus O(C · n log n) for a crash round that
-// realizes C delivery classes (one movement simulation per class), plus the
-// O(Σ|subset|) the adversary itself spends materializing delivery subsets.
-// C is 1 for kSilent/kAll deliveries, 2 for kAlternating (membership is a
-// parity), and at most 2^k (clamped by n) for k simultaneous kRandomHalf
-// victims — so keep per-round victim counts moderate at large n (the
-// report presets do; the engine remains the executor for dense random-half
-// bursts).
+// Cost: O(n log n) per phase, plus, for a path round with k victims, one
+// depth-first walk over the trie of effective prefixes. The victims cut
+// the round's <R order into k + 1 segments; segment j (the balls between
+// victims j−1 and j) is simulated once per distinct j-victim prefix that
+// some ball at or after it carries, so the walk costs
+// O(log n · Σ_j P_j · |segment j|) descents and undos, plus
+// O(log n · Σ_b (victims ahead of b)) membership tests, on top of the
+// O(Σ|subset|) the adversary spends materializing delivery subsets. P_j is
+// 1 for kSilent/kAll deliveries, at most 2 for kAlternating, and at most
+// min(2^j, balls at or after segment j) for kRandomHalf — never more than
+// the C realized delivery classes, so the walk is never costlier than one
+// full movement pass per class (C · n descents). In the worst case, where
+// every one of S survivors carries its own prefix, P_j is the number of
+// survivors at or after segment j and the walk makes about S²/2 descents,
+// against S · n for one pass per class.
 //
 // Protocol-aware adversaries — strategies that decode the round's traffic
 // off the wire instead of consulting only the schedule — are served through

@@ -59,11 +59,12 @@ constexpr sim::SubsetPolicy kSubsets[] = {
     sim::SubsetPolicy::kSilent, sim::SubsetPolicy::kAlternating,
     sim::SubsetPolicy::kRandomHalf, sim::SubsetPolicy::kAll};
 
-/// Targeted-mode per_round cap. k simultaneous kRandomHalf victims cost the
-/// symbolic fast path up to 2^k delivery classes per crash round
-/// (core/fast_sim_crash.h), so unbounded per_round turns an evaluation from
-/// milliseconds into minutes. Four victims a round is already far past
-/// anything the hand-coded strategies commit.
+/// Targeted-mode per_round cap. Four victims a round is already far past
+/// anything the hand-coded strategies commit. The symbolic fast path no
+/// longer needs the cap — its crash-round cost grows with the distinct
+/// victim prefixes the survivors carry, not with 2^k
+/// (core/fast_sim_crash.h) — but the cap shapes the genome space, so
+/// raising it would change search results and the pinned fixtures.
 constexpr std::uint32_t kMaxPerRound = 4;
 
 std::uint32_t per_round_cap(const SearchConfig& config) {

@@ -107,6 +107,16 @@ void LocalTreeView::remove(Label ball) {
   --alive_count_;
 }
 
+void LocalTreeView::restore(Label ball, NodeId node) {
+  BIL_REQUIRE(node < shape_->num_nodes(), "restore target out of range");
+  const std::size_t slot = index_of(ball);
+  BIL_REQUIRE(node_of_[slot] == kNoNode,
+              "ball " + std::to_string(ball) + " is not removed");
+  add_contribution(node, +1);
+  node_of_[slot] = node;
+  ++alive_count_;
+}
+
 bool LocalTreeView::contains(Label ball) const {
   const auto it = std::lower_bound(labels_.begin(), labels_.end(), ball);
   return it != labels_.end() && *it == ball &&
@@ -152,6 +162,22 @@ NodeId LocalTreeView::descend_toward(Label ball, NodeId target) {
   }
   node_of_[slot] = node;
   return node;
+}
+
+void LocalTreeView::undo_descend(Label ball, NodeId start) {
+  const std::size_t slot = index_of(ball);
+  const NodeId node = node_of_[slot];
+  BIL_REQUIRE(node != kNoNode, "cannot undo the descent of a removed ball");
+  BIL_REQUIRE(start < shape_->num_nodes() &&
+                  shape_->is_ancestor_or_self(start, node),
+              "undo target must be an ancestor of the ball's node");
+  // The descent added one to every subtree strictly below `start` on the
+  // way to `node`; take exactly those back.
+  for (NodeId v = node; v != start; v = shape_->parent(v)) {
+    BIL_ENSURE(subtree_count_[v] > 0, "subtree count underflow");
+    --subtree_count_[v];
+  }
+  node_of_[slot] = start;
 }
 
 std::optional<Label> LocalTreeView::find_ball_at(NodeId node) const {

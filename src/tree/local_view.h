@@ -44,6 +44,10 @@ class LocalTreeView {
   /// Removes a ball (Algorithm 1 lines 20 / 27: the ball has crashed).
   void remove(Label ball);
 
+  /// Inverse of remove: puts a removed ball back at `node`, the node it was
+  /// removed from. Requires the ball to be registered and removed.
+  void restore(Label ball, NodeId node);
+
   [[nodiscard]] bool contains(Label ball) const;
   [[nodiscard]] NodeId current(Label ball) const {
     const std::size_t slot = index_of(ball);
@@ -94,6 +98,13 @@ class LocalTreeView {
   /// policy except the one-level halving baseline.)
   NodeId descend_toward(Label ball, NodeId target);
 
+  /// Inverse of descend_toward: returns `ball` to `start`, the node its
+  /// descent began at, and takes back the subtree counts the descent added.
+  /// Requires `start` to be an ancestor of (or equal to) the ball's node.
+  /// Counts are additive, so undoing every descent made since some earlier
+  /// state, in any order, restores that state exactly.
+  void undo_descend(Label ball, NodeId start);
+
   /// Unconditionally repositions a ball (round-2 position synchronization,
   /// Algorithm 1 line 25). The position is the sender's self-report and is
   /// authoritative.
@@ -106,8 +117,9 @@ class LocalTreeView {
   /// (this is the hottest call in the engine's per-recipient simulation —
   /// twice per recipient per round — so it must not allocate): it is
   /// invalidated by the next ordered_balls() call on this view, but stays
-  /// valid across movement mutations (remove/reposition/descend_toward),
-  /// which is exactly the iterate-while-moving pattern every caller uses.
+  /// valid across movement mutations (remove/restore/reposition/
+  /// descend_toward/undo_descend), which is exactly the iterate-while-moving
+  /// pattern every caller uses.
   [[nodiscard]] std::span<const Label> ordered_balls() const;
 
   /// True iff every ball in the view sits at a leaf (Algorithm 1 line 29).

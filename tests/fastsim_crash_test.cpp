@@ -131,6 +131,34 @@ TEST(FastSimCrash, MatchesEngineBurstAtEveryRoundParity) {
   }
 }
 
+// ---- Dense random-half bursts: many victims in one path round --------------
+
+TEST(FastSimCrash, MatchesEngineDenseRandomHalfBurst) {
+  // 100 random-half victims in one path round, so most survivors carry
+  // their own set of received victim paths. At when = 1 every ball is at
+  // the root; at when = 3 the victims sit at mixed <R depths, some sharing
+  // a node with survivors. The rank-indexed algorithms name every ball in
+  // phase 1, so their round-3 burst finds nobody left to crash.
+  const api::FastSimBackend fast;
+  for (Algorithm algorithm : kTreeAlgorithms) {
+    for (sim::RoundNumber when : {1u, 3u}) {
+      AdversarySpec spec;
+      spec.kind = AdversaryKind::kBurst;
+      spec.crashes = 100;
+      spec.when = when;
+      spec.subset = sim::SubsetPolicy::kRandomHalf;
+      const api::CellConfig cell = cell_for(algorithm, 257, spec);
+      const bool phase_one_names_all =
+          algorithm == Algorithm::kRankDescent ||
+          algorithm == Algorithm::kEarlyTerminating;
+      EXPECT_EQ(fast.run(cell, 13).crashes,
+                when == 3 && phase_one_names_all ? 0u : 100u)
+          << describe(cell, 13);
+      expect_backends_match(cell, 13);
+    }
+  }
+}
+
 // ---- Eager: k crashes per round until the budget runs dry ------------------
 
 TEST(FastSimCrash, MatchesEngineEagerPerRoundCrashes) {

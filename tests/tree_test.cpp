@@ -5,6 +5,7 @@
 #include <limits>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "tree/local_view.h"
@@ -400,6 +401,97 @@ TEST(View, CountsStayConsistentUnderChurn) {
   }
   EXPECT_EQ(view.balls_at(TreeShape::root()), 8u);
   view.check_capacity_invariant();
+}
+
+/// Every observable field of a view, for before/after comparison.
+struct ViewState {
+  std::vector<NodeId> current;  // per label 0..labels-1; kNoNode if absent
+  std::vector<std::uint32_t> subtree;
+  std::uint32_t ball_count = 0;
+  std::vector<sim::Label> ordered;
+
+  bool operator==(const ViewState&) const = default;
+};
+
+ViewState capture(const LocalTreeView& view, sim::Label labels) {
+  ViewState state;
+  for (sim::Label l = 0; l < labels; ++l) {
+    state.current.push_back(view.contains(l) ? view.current(l) : kNoNode);
+  }
+  for (NodeId node = 0; node < view.shape().num_nodes(); ++node) {
+    state.subtree.push_back(view.balls_in_subtree(node));
+  }
+  state.ball_count = view.ball_count();
+  const std::span<const sim::Label> ordered = view.ordered_balls();
+  state.ordered.assign(ordered.begin(), ordered.end());
+  return state;
+}
+
+TEST(View, UndoDescendAndRestoreRecoverTheEarlierView) {
+  auto shape = TreeShape::make(16);
+  LocalTreeView view(shape);
+  std::vector<sim::Label> labels;
+  for (sim::Label l = 0; l < 16; ++l) {
+    labels.push_back(l);
+  }
+  view.insert_all_at_root(labels);
+  // A mid-phase view: some balls deep, some parked, one removed.
+  view.descend_toward(0, shape->leaf_at(0));
+  view.descend_toward(1, shape->leaf_at(1));
+  view.descend_toward(2, shape->leaf_at(9));
+  view.reposition(3, shape->parent(shape->leaf_at(5)));
+  view.remove(4);
+  const ViewState before = capture(view, 16);
+
+  // Interleave descents (some clipped by full subtrees) with removals, as a
+  // movement pass does, then undo everything in reverse.
+  std::vector<std::pair<sim::Label, NodeId>> descents;
+  const auto descend = [&](sim::Label ball, std::uint32_t leaf) {
+    descents.emplace_back(ball, view.current(ball));
+    view.descend_toward(ball, shape->leaf_at(leaf));
+  };
+  descend(3, 5);
+  descend(5, 0);  // leaf 0 is taken: parks above it
+  const NodeId at6 = view.current(6);
+  view.remove(6);
+  descend(7, 1);
+  descend(8, 9);
+  descend(9, 15);
+  EXPECT_NE(capture(view, 16), before);
+  for (auto it = descents.rbegin(); it != descents.rend(); ++it) {
+    view.undo_descend(it->first, it->second);
+  }
+  view.restore(6, at6);
+  EXPECT_EQ(capture(view, 16), before);
+  view.check_capacity_invariant();
+
+  // Restoring a previously removed ball at its old node is the inverse of
+  // that removal too.
+  view.restore(4, TreeShape::root());
+  view.remove(4);
+  EXPECT_EQ(capture(view, 16), before);
+}
+
+TEST(View, UndoPrimitivesRejectMisuse) {
+  auto shape = shape8();
+  LocalTreeView view(shape);
+  view.insert_all_at_root(std::vector<sim::Label>{0, 1, 2});
+  view.descend_toward(0, shape->leaf_at(2));
+  // Not an ancestor of the ball's node: a sibling leaf, a deeper node, and
+  // a node outside the tree.
+  EXPECT_THROW(view.undo_descend(0, shape->leaf_at(3)), ContractViolation);
+  EXPECT_THROW(view.undo_descend(1, shape->leaf_at(0)), ContractViolation);
+  EXPECT_THROW(view.undo_descend(0, shape->num_nodes()), ContractViolation);
+  // Restoring a ball that is not removed, or an unregistered one.
+  EXPECT_THROW(view.restore(1, TreeShape::root()), ContractViolation);
+  EXPECT_THROW(view.restore(9, TreeShape::root()), ContractViolation);
+  view.remove(2);
+  EXPECT_THROW(view.undo_descend(2, TreeShape::root()), ContractViolation);
+  EXPECT_THROW(view.restore(2, shape->num_nodes()), ContractViolation);
+  // The failed calls left the view untouched.
+  view.check_capacity_invariant();
+  EXPECT_EQ(view.ball_count(), 2u);
+  EXPECT_EQ(view.current(0), shape->leaf_at(2));
 }
 
 TEST(View, SingleLeafTreeHoldsOneBall) {
