@@ -175,9 +175,11 @@ class BallsIntoLeavesProcess final : public sim::ProcessBase {
 
  private:
   [[nodiscard]] tree::NodeId choose_target(tree::NodeId current);
-  /// The round's ball-processing order. Aliases view scratch (<R order) or
-  /// ablation_order_ (label-order ablation); valid until the next call,
-  /// across the movement mutations the processing loops perform.
+  /// The round's ball-processing order. Aliases the per-thread <R-order
+  /// scratch of tree::LocalTreeView::ordered_balls or ablation_order_
+  /// (label-order ablation); valid until the next call on this thread,
+  /// across the movement mutations the processing loops perform (none of
+  /// which orders another view).
   [[nodiscard]] std::span<const sim::Label> movement_order();
   void process_init(std::span<const sim::Envelope> inbox);
   void process_round1(std::span<const sim::Envelope> inbox);

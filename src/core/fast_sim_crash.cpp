@@ -1,6 +1,7 @@
 #include "core/fast_sim_crash.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -22,8 +23,13 @@ enum class Status : std::uint8_t { kAlive, kHalted, kCrashed };
 struct Ghost {
   sim::Label label = 0;
   tree::NodeId node = tree::kNoNode;
-  /// members[id] != 0 iff ball id received the victim's final broadcast.
-  std::vector<char> members;
+  /// Bit id of `members` (one u64 word per 64 balls) is set iff ball id
+  /// received the victim's final broadcast.
+  std::vector<std::uint64_t> members;
+
+  [[nodiscard]] bool reached(sim::ProcessId id) const {
+    return ((members[id / 64] >> (id % 64)) & 1) != 0;
+  }
 };
 
 /// Capacity overlay: the canonical view plus the ghost entries a specific
@@ -223,7 +229,8 @@ class CrashFastSim {
     const std::span<const sim::CrashPlan::Crash> crashes = plan.crashes();
     // The canonical view still holds this round's victims at their
     // phase-start positions, which is where every inbox's movement pass
-    // starts from; this <R order serves every branch of the walk.
+    // starts from; this <R order serves every branch of the walk. It lives
+    // in per-thread scratch, so nothing below may call ordered_balls().
     const std::span<const sim::Label> order = view_.ordered_balls();
     if (crashes.empty()) {
       // No victims: one segment, one trie node — move in place.
@@ -372,7 +379,7 @@ class CrashFastSim {
       }
       bool blocked = false;
       for (const Ghost& ghost : ghosts_) {
-        if (ghost.members[id] != 0 && !shape_->is_leaf(ghost.node)) {
+        if (ghost.reached(id) && !shape_->is_leaf(ghost.node)) {
           blocked = true;
           break;
         }
@@ -450,7 +457,7 @@ class CrashFastSim {
       std::uint32_t ghost_rank = 0;
       std::uint32_t ghost_mates = 0;
       for (const Ghost& ghost : ghosts_) {
-        if (ghost.members[id] == 0) {
+        if (!ghost.reached(id)) {
           continue;
         }
         extras_.push_back(ghost.node);
@@ -476,9 +483,9 @@ class CrashFastSim {
       Ghost ghost;
       ghost.label = crashes[v].victim;
       ghost.node = node_of(crashes[v]);
-      ghost.members.assign(options_.n, 0);
+      ghost.members.assign((options_.n + 63) / 64, 0);
       for (const sim::ProcessId recipient : reached_[v]) {
-        ghost.members[recipient] = 1;
+        ghost.members[recipient / 64] |= std::uint64_t{1} << (recipient % 64);
       }
       ghosts_.push_back(std::move(ghost));
     }

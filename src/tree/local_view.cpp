@@ -1,7 +1,7 @@
 #include "tree/local_view.h"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "util/contract.h"
 
@@ -13,26 +13,31 @@ LocalTreeView::LocalTreeView(std::shared_ptr<const TreeShape> shape)
   subtree_count_.assign(shape_->num_nodes(), 0);
 }
 
-std::size_t LocalTreeView::slow_index_of(Label ball) const {
-  // Arithmetic label sets (stride > 1) resolve in O(1); unit-stride ones —
-  // holes included — only reach here to fail (the inlined fast path already
-  // covered the hits).
+std::size_t LocalTreeView::find_slot(Label ball) const {
   if (dense_stride_ != 0) {
-    if (ball >= dense_base_) {
-      const Label offset = ball - dense_base_;
-      if (offset % dense_stride_ == 0) {
-        const Label slot = offset / dense_stride_;
-        if (slot < labels_.size()) {
-          return static_cast<std::size_t>(slot);
-        }
-      }
+    if (ball < dense_base_) {
+      return kNoSlot;
     }
-    BIL_REQUIRE(false, "ball " + std::to_string(ball) + " is not registered");
+    const Label offset = ball - dense_base_;
+    if (offset % dense_stride_ != 0) {
+      return kNoSlot;
+    }
+    const Label slot = offset / dense_stride_;
+    return slot < node_of_.size() ? static_cast<std::size_t>(slot) : kNoSlot;
   }
   const auto it = std::lower_bound(labels_.begin(), labels_.end(), ball);
-  BIL_REQUIRE(it != labels_.end() && *it == ball,
+  return it != labels_.end() && *it == ball
+             ? static_cast<std::size_t>(it - labels_.begin())
+             : kNoSlot;
+}
+
+std::size_t LocalTreeView::slow_index_of(Label ball) const {
+  // Unit-stride label sets — holes included — only reach here to fail (the
+  // inlined fast path already covered the hits).
+  const std::size_t slot = find_slot(ball);
+  BIL_REQUIRE(slot != kNoSlot,
               "ball " + std::to_string(ball) + " is not registered");
-  return static_cast<std::size_t>(it - labels_.begin());
+  return slot;
 }
 
 void LocalTreeView::add_contribution(NodeId node, std::int32_t delta) {
@@ -49,23 +54,24 @@ void LocalTreeView::add_contribution(NodeId node, std::int32_t delta) {
 }
 
 void LocalTreeView::insert_all_at_root(std::span<const Label> balls) {
-  labels_.assign(balls.begin(), balls.end());
-  std::sort(labels_.begin(), labels_.end());
-  BIL_REQUIRE(std::adjacent_find(labels_.begin(), labels_.end()) ==
-                  labels_.end(),
+  std::vector<Label> sorted(balls.begin(), balls.end());
+  std::sort(sorted.begin(), sorted.end());
+  BIL_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                  sorted.end(),
               "ball labels must be distinct");
-  const std::size_t count = labels_.size();
+  const std::size_t count = sorted.size();
   subtree_count_.assign(shape_->num_nodes(), 0);
   subtree_count_[TreeShape::root()] = static_cast<std::uint32_t>(count);
   alive_count_ = static_cast<std::uint32_t>(count);
+  labels_ = {};
 
-  // Detect a constant stride so index_of can use arithmetic instead of
-  // binary search. Differences are compared pairwise, so no overflow-prone
-  // base + slot·stride is ever formed.
-  dense_base_ = count == 0 ? 0 : labels_.front();
-  dense_stride_ = count <= 1 ? 1 : labels_[1] - labels_[0];
+  // Detect a constant stride so labels are pure arithmetic on the slot.
+  // Differences are compared pairwise, so no overflow-prone
+  // base + slot·stride is ever formed beyond the largest label.
+  dense_base_ = count == 0 ? 0 : sorted.front();
+  dense_stride_ = count <= 1 ? 1 : sorted[1] - sorted[0];
   for (std::size_t slot = 2; slot < count; ++slot) {
-    if (labels_[slot] - labels_[slot - 1] != dense_stride_) {
+    if (sorted[slot] - sorted[slot - 1] != dense_stride_) {
       dense_stride_ = 0;
       break;
     }
@@ -77,24 +83,22 @@ void LocalTreeView::insert_all_at_root(std::span<const Label> balls) {
   // Not an arithmetic sequence. A unit-stride span with holes — every view
   // that missed an init-round crash victim's broadcast, for the rest of the
   // run — gets one slot per label of the span, each hole a slot tombstoned
-  // from the start, so index_of stays arithmetic. Only while the holes are
+  // from the start, so labels stay arithmetic. Only while the holes are
   // no more than the labels present (the registry at most doubles); sparser
-  // label sets fall back to binary search. The hole count is formed from
-  // differences of sorted distinct labels, so it cannot overflow.
-  const Label holes = (labels_.back() - dense_base_) - (count - 1);
+  // label sets keep their labels and fall back to binary search. The hole
+  // count is formed from differences of sorted distinct labels, so it
+  // cannot overflow.
+  const Label holes = (sorted.back() - dense_base_) - (count - 1);
   if (holes > count) {
+    labels_ = std::move(sorted);
     node_of_.assign(count, TreeShape::root());
     return;
   }
   node_of_.assign(count + static_cast<std::size_t>(holes), kNoNode);
-  for (const Label label : labels_) {
+  for (const Label label : sorted) {
     node_of_[static_cast<std::size_t>(label - dense_base_)] =
         TreeShape::root();
   }
-  // assign, not resize: resize would double the capacity of every view
-  // that missed a victim.
-  labels_.assign(node_of_.size(), 0);
-  std::iota(labels_.begin(), labels_.end(), dense_base_);
   dense_stride_ = 1;
 }
 
@@ -117,18 +121,12 @@ void LocalTreeView::restore(Label ball, NodeId node) {
   ++alive_count_;
 }
 
-bool LocalTreeView::contains(Label ball) const {
-  const auto it = std::lower_bound(labels_.begin(), labels_.end(), ball);
-  return it != labels_.end() && *it == ball &&
-         node_of_[static_cast<std::size_t>(it - labels_.begin())] != kNoNode;
-}
-
 std::vector<Label> LocalTreeView::balls() const {
   std::vector<Label> alive;
   alive.reserve(alive_count_);
-  for (std::size_t slot = 0; slot < labels_.size(); ++slot) {
+  for (std::size_t slot = 0; slot < node_of_.size(); ++slot) {
     if (node_of_[slot] != kNoNode) {
-      alive.push_back(labels_[slot]);
+      alive.push_back(label_at(slot));
     }
   }
   return alive;
@@ -181,9 +179,9 @@ void LocalTreeView::undo_descend(Label ball, NodeId start) {
 }
 
 std::optional<Label> LocalTreeView::find_ball_at(NodeId node) const {
-  for (std::size_t slot = 0; slot < labels_.size(); ++slot) {
+  for (std::size_t slot = 0; slot < node_of_.size(); ++slot) {
     if (node_of_[slot] == node) {
-      return labels_[slot];
+      return label_at(slot);
     }
   }
   return std::nullopt;
@@ -207,16 +205,20 @@ std::span<const Label> LocalTreeView::ordered_balls() const {
   // order keeps each depth bucket label-sorted — a two-pass counting sort
   // (O(n + height)) yields exactly the order a comparison sort would, and
   // this runs twice per recipient per round, so both passes sweep the flat
-  // parallel slot arrays uniformly with no per-call allocation: tombstoned
-  // slots sort under a discard key past every real depth (landing in the
-  // trailing region the returned span excludes) instead of branching the
-  // loop on liveness. Sort key is height − depth so "deeper first" is an
-  // ascending counting sort.
+  // slot array uniformly with no per-call allocation: tombstoned slots sort
+  // under a discard key past every real depth (landing in the trailing
+  // region the returned span excludes) instead of branching the loop on
+  // liveness. Sort key is height − depth so "deeper first" is an ascending
+  // counting sort. The buffers are per thread, not per view: a view is
+  // only ever read by one thread at a time, and n views sharing one
+  // buffer keeps the engine's view state at 12 B per (process, ball).
+  thread_local std::vector<std::uint32_t> bucket_scratch;
+  thread_local std::vector<Label> order_scratch;
   const std::uint32_t height = shape_->height();
   const std::uint32_t dead_key = height + 1;
-  order_bucket_scratch_.assign(height + 2, 0);
-  std::uint32_t* const buckets = order_bucket_scratch_.data();
-  const std::size_t slots = labels_.size();
+  bucket_scratch.assign(height + 2, 0);
+  std::uint32_t* const buckets = bucket_scratch.data();
+  const std::size_t slots = node_of_.size();
   for (std::size_t slot = 0; slot < slots; ++slot) {
     const NodeId node = node_of_[slot];
     ++buckets[node == kNoNode ? dead_key : height - shape_->depth(node)];
@@ -227,18 +229,20 @@ std::span<const Label> LocalTreeView::ordered_balls() const {
     buckets[key] = offset;
     offset += count;
   }
-  order_scratch_.resize(slots);
-  Label* const order = order_scratch_.data();
+  if (order_scratch.size() < slots) {
+    order_scratch.resize(slots);
+  }
+  Label* const order = order_scratch.data();
   for (std::size_t slot = 0; slot < slots; ++slot) {
     const NodeId node = node_of_[slot];
     order[buckets[node == kNoNode ? dead_key : height - shape_->depth(node)]++] =
-        labels_[slot];
+        label_at(slot);
   }
   return {order, alive_count_};
 }
 
 bool LocalTreeView::all_at_leaves() const {
-  for (std::size_t slot = 0; slot < labels_.size(); ++slot) {
+  for (std::size_t slot = 0; slot < node_of_.size(); ++slot) {
     if (node_of_[slot] != kNoNode && !shape_->is_leaf(node_of_[slot])) {
       return false;
     }
@@ -279,7 +283,7 @@ std::uint32_t LocalTreeView::max_inner_path_load() const {
 
 std::uint32_t LocalTreeView::balls_on_inner_nodes() const {
   std::uint32_t count = 0;
-  for (std::size_t slot = 0; slot < labels_.size(); ++slot) {
+  for (std::size_t slot = 0; slot < node_of_.size(); ++slot) {
     if (node_of_[slot] != kNoNode && !shape_->is_leaf(node_of_[slot])) {
       ++count;
     }
@@ -306,6 +310,12 @@ void LocalTreeView::check_capacity_invariant(bool strict) const {
              "ball registry and subtree counts disagree");
   BIL_ENSURE(subtree_count_[TreeShape::root()] == alive_count_,
              "root count must equal the number of alive balls");
+}
+
+std::size_t LocalTreeView::heap_bytes() const noexcept {
+  return subtree_count_.capacity() * sizeof(std::uint32_t) +
+         node_of_.capacity() * sizeof(NodeId) +
+         labels_.capacity() * sizeof(Label);
 }
 
 }  // namespace bil::tree

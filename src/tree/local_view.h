@@ -48,7 +48,10 @@ class LocalTreeView {
   /// removed from. Requires the ball to be registered and removed.
   void restore(Label ball, NodeId node);
 
-  [[nodiscard]] bool contains(Label ball) const;
+  [[nodiscard]] bool contains(Label ball) const {
+    const std::size_t slot = find_slot(ball);
+    return slot != kNoSlot && node_of_[slot] != kNoNode;
+  }
   [[nodiscard]] NodeId current(Label ball) const {
     const std::size_t slot = index_of(ball);
     BIL_REQUIRE(node_of_[slot] != kNoNode,
@@ -113,13 +116,15 @@ class LocalTreeView {
   // ---- Priority order and termination ------------------------------------
 
   /// All alive balls in <R order (Definition 1): deeper balls first, ties
-  /// broken by smaller label. The span aliases reused per-view scratch
-  /// (this is the hottest call in the engine's per-recipient simulation —
-  /// twice per recipient per round — so it must not allocate): it is
-  /// invalidated by the next ordered_balls() call on this view, but stays
-  /// valid across movement mutations (remove/restore/reposition/
-  /// descend_toward/undo_descend), which is exactly the iterate-while-moving
-  /// pattern every caller uses.
+  /// broken by smaller label. The span aliases per-thread scratch shared by
+  /// every view (this is the hottest call in the engine's per-recipient
+  /// simulation — twice per recipient per round — so it must not allocate,
+  /// and a per-view buffer would cost 8 B per (process, ball)): it is
+  /// invalidated by the next ordered_balls() call on the same thread, on
+  /// any view, but stays valid across movement mutations (remove/restore/
+  /// reposition/descend_toward/undo_descend), which is exactly the
+  /// iterate-while-moving pattern every caller uses. Callers must not ask
+  /// another view for its order while iterating one.
   [[nodiscard]] std::span<const Label> ordered_balls() const;
 
   /// True iff every ball in the view sits at a leaf (Algorithm 1 line 29).
@@ -145,7 +150,14 @@ class LocalTreeView {
   /// leaves for every subtree. Throws ContractViolation on failure.
   void check_capacity_invariant(bool strict = true) const;
 
+  /// Heap bytes the view owns (vector capacities): the footprint that
+  /// multiplies by n processes in the exact engine. Excludes the shared
+  /// shape and the per-thread ordered_balls scratch.
+  [[nodiscard]] std::size_t heap_bytes() const noexcept;
+
  private:
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
   /// Registry slot of `ball`; throws if the label was never inserted. The
   /// exact engine calls this once or twice per ball per recipient per round
   /// (Θ(n²·rounds) total), so the common case — the harness's unit-stride
@@ -154,38 +166,45 @@ class LocalTreeView {
   [[nodiscard]] std::size_t index_of(Label ball) const {
     if (dense_stride_ == 1 && ball >= dense_base_) {
       const Label slot = ball - dense_base_;
-      if (slot < labels_.size()) {
+      if (slot < node_of_.size()) {
         return static_cast<std::size_t>(slot);
       }
     }
     return slow_index_of(ball);
   }
   [[nodiscard]] std::size_t slow_index_of(Label ball) const;
+  /// Registry slot of `ball`, or kNoSlot if the label was never inserted.
+  [[nodiscard]] std::size_t find_slot(Label ball) const;
+  /// Label of a registry slot: arithmetic on the dense layouts, the stored
+  /// label on the irregular one. Never overflows: slot·stride stays within
+  /// the span of the inserted labels.
+  [[nodiscard]] Label label_at(std::size_t slot) const {
+    return dense_stride_ != 0 ? dense_base_ + slot * dense_stride_
+                              : labels_[slot];
+  }
   void add_contribution(NodeId node, std::int32_t delta);
 
   std::shared_ptr<const TreeShape> shape_;
-  /// Balls in every subtree, indexed by NodeId.
+  /// Balls in every subtree, indexed by NodeId (2n−1 entries, ~8 B per
+  /// ball).
   std::vector<std::uint32_t> subtree_count_;
-  /// Sorted distinct registry labels, one per slot. A unit-stride label set
-  /// with holes — the label set of every view that missed an init-round
-  /// crash victim's broadcast — is stored dense, each hole a slot that is
-  /// tombstoned from the start (see insert_all_at_root).
-  std::vector<Label> labels_;
   /// Position per registry slot; kNoNode marks a removed ball or a hole.
+  /// The only per-slot array on the arithmetic layouts (4 B per ball).
   std::vector<NodeId> node_of_;
+  /// Sorted distinct registry labels, one per slot — kept only for
+  /// irregular label sets (dense_stride_ == 0); empty otherwise.
+  std::vector<Label> labels_;
   std::uint32_t alive_count_ = 0;
-  /// When labels_ form an arithmetic sequence (the harness's
-  /// offset + stride·id labelling, at unit stride also with holes), index_of
-  /// is O(1) arithmetic: slot = (ball - dense_base_) / dense_stride_.
-  /// dense_stride_ == 0 marks irregular labels (binary-search fallback).
+  /// When the labels form an arithmetic sequence (the harness's
+  /// offset + stride·id labelling), slot s holds label
+  /// dense_base_ + s·dense_stride_ and index_of is O(1) arithmetic. A
+  /// unit-stride label set with holes — the label set of every view that
+  /// missed an init-round crash victim's broadcast — is stored the same
+  /// way, each hole a slot tombstoned from the start (see
+  /// insert_all_at_root). dense_stride_ == 0 marks irregular labels
+  /// (binary search over labels_).
   Label dense_base_ = 0;
   Label dense_stride_ = 0;
-  /// ordered_balls scratch, reused across calls (mutable: the order is a
-  /// pure function of the registry, rebuilding it does not change
-  /// observable view state). bucket scratch holds one counting-sort cursor
-  /// per sort key; order scratch holds one slot per registry entry.
-  mutable std::vector<std::uint32_t> order_bucket_scratch_;
-  mutable std::vector<Label> order_scratch_;
 };
 
 }  // namespace bil::tree

@@ -2,9 +2,14 @@
 // LocalTreeView's capacity accounting, <R ordering, and clipped descent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <limits>
+#include <map>
+#include <optional>
 #include <set>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -499,6 +504,212 @@ TEST(View, SingleLeafTreeHoldsOneBall) {
   view.insert_all_at_root(std::vector<sim::Label>{42});
   EXPECT_TRUE(view.all_at_leaves());  // root is the leaf
   EXPECT_EQ(view.remaining_capacity(TreeShape::root()), 0u);
+}
+
+// ---- Registry layouts -------------------------------------------------------
+
+// One label set per registry layout the view stores. Only the irregular one
+// keeps its labels; the others compute a slot's label from base and stride.
+struct Layout {
+  const char* name;
+  std::vector<sim::Label> labels;  // insertion order, deliberately unsorted
+  std::vector<sim::Label> absent;  // labels contains() must reject
+};
+
+const std::vector<Layout>& layouts() {
+  static const std::vector<Layout> all{
+      // Below the base, one past the end.
+      {"unit stride", {13, 10, 15, 11, 17, 12, 14, 16}, {0, 9, 18, 1000}},
+      // Below the base, on each hole, one past the end.
+      {"unit stride with holes", {17, 10, 13, 11, 14}, {9, 12, 15, 16, 18}},
+      // Below the base, off stride (between and beside slots), one past
+      // the end.
+      {"stride 3", {14, 5, 11, 8, 17}, {2, 4, 6, 7, 9, 16, 18, 20}},
+      // Too sparse for tombstones: binary-search fallback. Below the first
+      // label, between labels, one past the last.
+      {"irregular", {100, 3, 9, 4}, {2, 5, 50, 99, 101}},
+  };
+  return all;
+}
+
+/// Moves some balls off the root and removes one, mirroring every change
+/// in `reference` (alive label -> node). Returns the removed label.
+sim::Label churn(LocalTreeView& view,
+                 std::map<sim::Label, NodeId>& reference) {
+  const TreeShape& shape = view.shape();
+  std::uint32_t i = 0;
+  for (auto& [label, node] : reference) {
+    if (i % 3 == 0) {
+      node = shape.leaf_at(i % shape.num_leaves());
+    } else if (i % 3 == 1) {
+      node = shape.left(TreeShape::root());
+    }
+    view.reposition(label, node);
+    ++i;
+  }
+  const sim::Label gone = std::next(reference.begin())->first;
+  view.remove(gone);
+  reference.erase(gone);
+  return gone;
+}
+
+void expect_matches(LocalTreeView& view,
+                    const std::map<sim::Label, NodeId>& reference,
+                    const Layout& layout) {
+  const TreeShape& shape = view.shape();
+  std::vector<sim::Label> alive;
+  for (const auto& [label, node] : reference) {
+    alive.push_back(label);
+    EXPECT_TRUE(view.contains(label)) << label;
+    EXPECT_EQ(view.current(label), node) << label;
+  }
+  EXPECT_EQ(view.balls(), alive);
+  EXPECT_EQ(view.ball_count(), alive.size());
+
+  // <R: deeper first, then smaller label.
+  std::vector<sim::Label> expected_order = alive;
+  std::stable_sort(expected_order.begin(), expected_order.end(),
+                   [&](sim::Label a, sim::Label b) {
+                     return shape.depth(reference.at(a)) >
+                            shape.depth(reference.at(b));
+                   });
+  const std::span<const sim::Label> order = view.ordered_balls();
+  EXPECT_EQ(std::vector<sim::Label>(order.begin(), order.end()),
+            expected_order);
+
+  for (NodeId node = 0; node < shape.num_nodes(); ++node) {
+    std::optional<sim::Label> smallest;
+    for (const auto& [label, at] : reference) {
+      if (at == node) {
+        smallest = label;
+        break;
+      }
+    }
+    EXPECT_EQ(view.find_ball_at(node), smallest) << "node " << node;
+  }
+
+  for (const sim::Label label : layout.absent) {
+    EXPECT_FALSE(view.contains(label)) << label;
+    EXPECT_THROW((void)view.current(label), ContractViolation) << label;
+    EXPECT_THROW(view.remove(label), ContractViolation) << label;
+  }
+}
+
+TEST(View, EveryRegistryLayoutMatchesItsLabelList) {
+  for (const Layout& layout : layouts()) {
+    SCOPED_TRACE(layout.name);
+    LocalTreeView view(shape8());
+    view.insert_all_at_root(layout.labels);
+    std::map<sim::Label, NodeId> reference;
+    for (const sim::Label label : layout.labels) {
+      reference.emplace(label, TreeShape::root());
+    }
+    expect_matches(view, reference, layout);
+
+    const sim::Label removed = churn(view, reference);
+    expect_matches(view, reference, layout);
+    view.check_capacity_invariant(false);
+
+    // A removed ball is registered but no longer contained.
+    EXPECT_FALSE(view.contains(removed));
+    EXPECT_THROW((void)view.current(removed), ContractViolation);
+  }
+}
+
+// ---- Footprint --------------------------------------------------------------
+
+// The exact engine holds one view per process, so every per-ball array in a
+// view costs n² in total. A view may own subtree counts (2n−1 u32) and one
+// node per slot (u32): 12 B per ball. A stored label copy or a per-view
+// order buffer (8 B per ball each) must trip this.
+TEST(View, FootprintIsTwelveBytesPerBall) {
+  constexpr std::uint32_t kN = 4096;
+  const auto shape = TreeShape::make(kN);
+  const std::size_t budget = 12 * std::size_t{kN} + 8 * shape->height();
+
+  std::vector<sim::Label> dense(kN);
+  for (std::uint32_t id = 0; id < kN; ++id) {
+    dense[id] = 1000 + id;
+  }
+  std::vector<sim::Label> holed = dense;  // the span stays kN labels wide
+  holed.erase(holed.begin() + 2000);
+  holed.erase(holed.begin() + 17);
+  holed.erase(holed.begin() + 1);
+
+  for (const std::vector<sim::Label>* labels : {&dense, &holed}) {
+    LocalTreeView view(shape);
+    view.insert_all_at_root(*labels);
+    EXPECT_LE(view.heap_bytes(), budget) << labels->size() << " labels";
+    // Ordering and moving must not grow per-view state either.
+    for (const sim::Label ball : view.ordered_balls()) {
+      view.descend_toward(
+          ball, shape->leaf_at(static_cast<std::uint32_t>(ball % kN)));
+    }
+    view.remove(labels->back());
+    (void)view.ordered_balls();
+    EXPECT_LE(view.heap_bytes(), budget) << labels->size() << " labels";
+  }
+}
+
+// ---- Concurrency ------------------------------------------------------------
+
+/// A few phases of ordered movement on a fresh view: the iterate-while-
+/// moving pattern of the engine's receive loop. Returns every phase's <R
+/// order followed by the final positions.
+std::vector<std::uint64_t> ordered_descents(
+    const std::shared_ptr<const TreeShape>& shape, std::uint32_t index) {
+  const std::uint32_t n = shape->num_leaves();
+  std::vector<sim::Label> labels;
+  for (std::uint32_t id = 0; id < n; ++id) {
+    if (id % 9 != index) {  // a different hole pattern per view
+      labels.push_back(index + (index % 3 + 1) * sim::Label{id});
+    }
+  }
+  LocalTreeView view(shape);
+  view.insert_all_at_root(labels);
+  std::vector<std::uint64_t> trace;
+  for (std::uint32_t phase = 0; phase < 4; ++phase) {
+    const std::span<const sim::Label> order = view.ordered_balls();
+    trace.insert(trace.end(), order.begin(), order.end());
+    for (const sim::Label ball : order) {
+      const NodeId node = view.current(ball);
+      const std::uint32_t pick =
+          static_cast<std::uint32_t>((ball * 2654435761u + phase) %
+                                     shape->leaf_count(node));
+      view.descend_toward(ball,
+                          shape->leaf_at(shape->first_leaf(node) + pick));
+    }
+  }
+  for (const sim::Label ball : view.balls()) {
+    trace.push_back(view.current(ball));
+  }
+  return trace;
+}
+
+// ordered_balls() returns per-thread scratch; views ordered on different
+// threads at once must not share it (run under TSan in CI).
+TEST(View, ConcurrentOrderingOnDistinctViewsMatchesSerial) {
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint32_t kViewsPerThread = 2;
+  const auto shape = TreeShape::make(300);
+  std::vector<std::vector<std::uint64_t>> serial(kThreads * kViewsPerThread);
+  for (std::uint32_t index = 0; index < serial.size(); ++index) {
+    serial[index] = ordered_descents(shape, index);
+  }
+  std::vector<std::vector<std::uint64_t>> concurrent(serial.size());
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint32_t k = 0; k < kViewsPerThread; ++k) {
+        const std::uint32_t index = t + k * kThreads;
+        concurrent[index] = ordered_descents(shape, index);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(concurrent, serial);
 }
 
 }  // namespace
