@@ -51,30 +51,6 @@ RunRecord EngineBackend::run(const CellConfig& cell,
   return record;
 }
 
-namespace {
-
-/// Validates a fast-sim run to the engine path's standard
-/// (sim::validate_renaming): every correct ball decided (exactly `crashes`
-/// balls carry the crashed sentinel 0), names lie in 1..n, no duplicates.
-void validate_fast_names(const std::vector<std::uint64_t>& names,
-                         std::uint32_t n, std::uint32_t crashes) {
-  std::vector<bool> used(n + 1, false);
-  std::uint32_t undecided = 0;
-  for (std::uint64_t name : names) {
-    if (name == 0) {
-      ++undecided;  // crashed balls owe nothing
-      continue;
-    }
-    BIL_ENSURE(name <= n, "fast sim name out of range");
-    BIL_ENSURE(!used[name], "fast sim assigned a duplicate name");
-    used[name] = true;
-  }
-  BIL_ENSURE(undecided == crashes,
-             "fast sim left a correct ball without a name");
-}
-
-}  // namespace
-
 RunRecord FastSimBackend::run(const CellConfig& cell,
                               std::uint64_t seed) const {
   const std::string incompatibility = fast_sim_incompatibility(cell);
@@ -107,7 +83,7 @@ RunRecord FastSimBackend::run(const CellConfig& cell,
   const core::CrashFastSimResult result =
       targeted ? core::run_fast_sim_targeted(options, adversary.get())
                : core::run_fast_sim_crash(options, adversary.get());
-  validate_fast_names(result.names, cell.n, result.crashes);
+  core::validate_fast_names(result.names, cell.n, result.crashes);
   record.rounds = result.rounds;
   record.total_rounds = result.total_rounds;
   record.crashes = result.crashes;

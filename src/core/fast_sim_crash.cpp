@@ -555,4 +555,21 @@ CrashFastSimResult run_fast_sim_crash(const CrashFastSimOptions& options,
   return CrashFastSim(options, adversary, oracle).run();
 }
 
+void validate_fast_names(const std::vector<std::uint64_t>& names,
+                         std::uint32_t n, std::uint32_t crashes) {
+  std::vector<bool> used(n + 1, false);
+  std::uint32_t undecided = 0;
+  for (const std::uint64_t name : names) {
+    if (name == 0) {
+      ++undecided;  // crashed balls owe nothing
+      continue;
+    }
+    BIL_ENSURE(name <= n, "fast sim name out of range");
+    BIL_ENSURE(!used[name], "fast sim assigned a duplicate name");
+    used[name] = true;
+  }
+  BIL_ENSURE(undecided == crashes,
+             "fast sim left a correct ball without a name");
+}
+
 }  // namespace bil::core

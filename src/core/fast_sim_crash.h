@@ -156,4 +156,11 @@ class AdversaryViewOracle {
     const CrashFastSimOptions& options, sim::Adversary* adversary,
     AdversaryViewOracle* oracle = nullptr);
 
+/// Holds a fast-sim run's `names` to the engine path's standard
+/// (sim::validate_renaming): exactly `crashes` balls carry the crashed
+/// sentinel 0 (every correct ball decided), names lie in 1..n, and no name
+/// repeats. Throws ContractViolation otherwise.
+void validate_fast_names(const std::vector<std::uint64_t>& names,
+                         std::uint32_t n, std::uint32_t crashes);
+
 }  // namespace bil::core

@@ -69,7 +69,12 @@ bool is_delay_kind(AdversaryKind kind) noexcept {
   return kind == AdversaryKind::kBoundedDelay || kind == AdversaryKind::kGst;
 }
 
-namespace {
+bool is_tree_based(Algorithm algorithm) noexcept {
+  return algorithm == Algorithm::kBallsIntoLeaves ||
+         algorithm == Algorithm::kEarlyTerminating ||
+         algorithm == Algorithm::kRankDescent ||
+         algorithm == Algorithm::kHalving;
+}
 
 core::PathPolicy policy_for(Algorithm algorithm) {
   switch (algorithm) {
@@ -86,8 +91,6 @@ core::PathPolicy policy_for(Algorithm algorithm) {
       return core::PathPolicy::kRandomWeighted;
   }
 }
-
-}  // namespace
 
 std::vector<std::unique_ptr<sim::ProcessBase>> make_processes(
     const RunConfig& config,
@@ -273,10 +276,7 @@ RunSummary run_renaming(const RunConfig& config) {
               "gossip_t must be kWaitFree or a crash budget t <= n-1 (t < n: "
               "at least one process survives)");
 
-  const bool tree_based = config.algorithm == Algorithm::kBallsIntoLeaves ||
-                          config.algorithm == Algorithm::kEarlyTerminating ||
-                          config.algorithm == Algorithm::kRankDescent ||
-                          config.algorithm == Algorithm::kHalving;
+  const bool tree_based = is_tree_based(config.algorithm);
   const bool byzantine = config.adversary.byzantine > 0;
   if (byzantine) {
     BIL_REQUIRE(tree_based,

@@ -41,6 +41,15 @@ enum class Algorithm : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Algorithm algorithm) noexcept;
 
+/// True for the tree-descent algorithms (BallsIntoLeavesProcess under a
+/// core::PathPolicy); false for the gossip, naive-bins and splitter-net
+/// baselines.
+[[nodiscard]] bool is_tree_based(Algorithm algorithm) noexcept;
+
+/// The path policy a tree-based algorithm runs. Throws ContractViolation
+/// for a baseline.
+[[nodiscard]] core::PathPolicy policy_for(Algorithm algorithm);
+
 /// Which crash strategy attacks the run.
 enum class AdversaryKind : std::uint8_t {
   kNone,

@@ -9,6 +9,7 @@
 
 #include "api/backend.h"
 #include "api/registry.h"
+#include "harness/runner.h"
 #include "util/contract.h"
 
 namespace bil {
@@ -144,6 +145,15 @@ TEST(Registry, FastSimCapabilityMatchesTreeAlgorithms) {
   EXPECT_FALSE(api::parse_algorithm("gossip").fast_sim_capable);
   EXPECT_FALSE(api::parse_algorithm("bins").fast_sim_capable);
   EXPECT_FALSE(api::parse_algorithm("splitter").fast_sim_capable);
+  // The registry's capability and policy columns (read by the fast-sim
+  // backend) agree with the harness mapping the engine and search use.
+  for (const api::AlgorithmInfo& info : api::algorithm_registry()) {
+    EXPECT_EQ(info.fast_sim_capable, harness::is_tree_based(info.algorithm))
+        << info.name;
+    if (info.fast_sim_capable) {
+      EXPECT_EQ(info.policy, harness::policy_for(info.algorithm)) << info.name;
+    }
+  }
 }
 
 TEST(Registry, FamiliesGroupAlgorithmsByConstruction) {

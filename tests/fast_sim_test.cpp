@@ -1,15 +1,24 @@
 // Tests for the single-view fast simulator, including its headline
 // guarantee: bit-identical equivalence with the message-passing engine on
 // failure-free runs with the same seed. The init-round crash cases drive
-// the same simulator through the registered burst adversary.
+// the same simulator through the registered burst adversary; the Appendix B
+// case also reads phase-1 claims straight off the engine's processes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "core/balls_into_leaves.h"
 #include "core/fast_sim.h"
 #include "core/fast_sim_crash.h"
+#include "core/seeds.h"
 #include "harness/runner.h"
 #include "sim/adversaries.h"
+#include "sim/engine.h"
+#include "tree/shape.h"
 
 namespace bil {
 namespace {
@@ -212,6 +221,52 @@ TEST(FastSim, PartialInitDeliveryCausesCollisions) {
   EXPECT_GT(phases(result), 1u);
 }
 
+/// Appendix B's phase-1 bounds on the exact engine: `f` balls crash during
+/// the init broadcast, each reaching a random half of the others. Returns
+/// {max |claimed leaf rank - true survivor rank|, max claims on one leaf},
+/// read off every survivor's phase-1 candidate target (the §6 rule targets
+/// exactly the leaf indexed by the ball's local rank).
+std::pair<std::uint32_t, std::uint32_t> phase1_rank_shift_and_pile(
+    std::uint32_t n, std::uint32_t f, std::uint64_t seed) {
+  harness::RunConfig config;
+  config.algorithm = harness::Algorithm::kEarlyTerminating;
+  config.n = n;
+  config.seed = seed;
+  const auto shape = tree::TreeShape::make(n);
+  sim::Engine engine(
+      sim::EngineConfig{.num_processes = n, .max_crashes = f},
+      harness::make_processes(config, shape),
+      std::make_unique<sim::BurstCrashAdversary>(
+          sim::BurstCrashAdversary::Options{
+              .count = f,
+              .when = 0,
+              .subset_policy = sim::SubsetPolicy::kRandomHalf,
+              .lowest_ids = false},
+          derive_seed(seed, core::kSeedDomainAdversary, 0)));
+  engine.step();  // init round
+  engine.step();  // phase 1, path round
+  std::uint32_t max_shift = 0;
+  std::vector<std::uint32_t> claims(n, 0);
+  std::uint32_t true_rank = 0;
+  for (sim::ProcessId id = 0; id < n; ++id) {
+    if (engine.is_crashed(id)) {
+      continue;
+    }
+    const auto& process = dynamic_cast<const core::BallsIntoLeavesProcess&>(
+        engine.process(id));
+    const tree::NodeId target = process.candidate_target();
+    if (target != tree::kNoNode && shape->is_leaf(target)) {
+      const std::uint32_t claimed = shape->leaf_rank(target);
+      max_shift = std::max(max_shift, claimed > true_rank
+                                          ? claimed - true_rank
+                                          : true_rank - claimed);
+      ++claims[claimed];
+    }
+    ++true_rank;
+  }
+  return {max_shift, *std::max_element(claims.begin(), claims.end())};
+}
+
 TEST(FastSim, CollisionDepthMatchesAppendixB) {
   // Appendix B: with f init failures, phase-1 collisions are confined to
   // depth >= log n - ceil(log f) — i.e. the surviving contention lives in
@@ -224,6 +279,25 @@ TEST(FastSim, CollisionDepthMatchesAppendixB) {
   // bmax after phase 1 is at most f+1 (at most f rank shifts can pile up).
   ASSERT_FALSE(result.per_phase.empty());
   EXPECT_LE(result.per_phase[0].bmax, 9u);
+
+  // The engine-side argument: a ball that misses k <= f init crashers
+  // claims a leaf at most k ranks from its true survivor rank, so no leaf
+  // draws more than f+1 claims.
+  for (const std::uint32_t f : {1u, 8u, 64u}) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      const auto [shift, pile] = phase1_rank_shift_and_pile(1024, f, seed);
+      EXPECT_LE(shift, f) << "f=" << f << " seed=" << seed;
+      EXPECT_LE(pile, f + 1) << "f=" << f << " seed=" << seed;
+    }
+  }
+}
+
+TEST(FastSim, NameValidatorRejectsBrokenAssignments) {
+  // names[i] is ball i's name; 0 marks a crashed ball.
+  EXPECT_NO_THROW(core::validate_fast_names({2, 0, 1}, 3, 1));
+  EXPECT_THROW(core::validate_fast_names({2, 2, 1}, 3, 0), ContractViolation);
+  EXPECT_THROW(core::validate_fast_names({1, 4, 2}, 3, 0), ContractViolation);
+  EXPECT_THROW(core::validate_fast_names({1, 0, 2}, 3, 0), ContractViolation);
 }
 
 TEST(FastSim, RejectsBadOptions) {

@@ -1,5 +1,6 @@
 // End-to-end integration tests: the paper's comparative claims, checked at
-// test scale with generous margins (the benches measure them precisely).
+// test scale with generous margins (the report presets in
+// src/report/presets.cpp check them at scale).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -148,6 +149,30 @@ TEST(Lemma6Shape, ContentionCollapsesDoublyExponentially) {
   EXPECT_LE(result.per_phase[0].bmax, lemma4);
   const double lemma6 = stats::lemma6_contention_bound(n, 2.0);
   EXPECT_LE(result.per_phase[2].bmax, lemma6);
+}
+
+TEST(Section52Shape, BallsEscapePathsAtAConstantRate) {
+  // Lemmas 7–10: every two phases at least a constant fraction of the balls
+  // still on inner nodes escapes to a leaf, so paths drain within O(log M)
+  // phases of reaching population M. Balls only ever move down, so no
+  // root-path population can grow.
+  core::FastSimOptions options;
+  options.n = 1u << 14;
+  options.seed = 31;
+  const auto result = core::run_fast_sim(options);
+  ASSERT_TRUE(result.completed);
+  const auto& phases = result.per_phase;
+  ASSERT_GE(phases.size(), 3u);
+  for (std::size_t p = 2; p < phases.size(); ++p) {
+    if (phases[p - 2].balls_inner > 0) {
+      EXPECT_LE(phases[p].balls_inner, 0.5 * phases[p - 2].balls_inner)
+          << "phase " << p + 1;
+    }
+  }
+  for (std::size_t p = 1; p < phases.size(); ++p) {
+    EXPECT_LE(phases[p].max_path_load, phases[p - 1].max_path_load)
+        << "phase " << p + 1;
+  }
 }
 
 TEST(Section53, CrashesDoNotSlowBiLDownMuch) {
